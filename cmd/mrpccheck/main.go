@@ -8,7 +8,8 @@
 //	mrpccheck -repro seed.json  # re-run a seed artifact twice and compare digests
 //
 // On a violation the failing scenario is shrunk and written as a seed
-// artifact (JSON) for -repro; the exit status is 1.
+// artifact (JSON) for -repro — under $TMPDIR/mrpccheck unless -out names
+// another directory — and the exit status is 1.
 package main
 
 import (
@@ -33,7 +34,7 @@ func main() {
 		repro  = flag.String("repro", "", "re-run the seed artifact at this path and verify its digest reproduces")
 		seed   = flag.Int64("seed", 1, "master seed for scenario sampling")
 		count  = flag.Int("n", 30, "number of scenarios for -smoke")
-		outDir = flag.String("out", ".", "directory for seed artifacts written on violation")
+		outDir = flag.String("out", filepath.Join(os.TempDir(), "mrpccheck"), "directory for seed artifacts written on violation (created if missing)")
 		shrink = flag.Int("shrink", 40, "run budget for shrinking a violating scenario (0 disables)")
 		tport  = flag.String("transport", "sim", `substrate for -smoke/-sweep: "sim", or "tcp" to run fault-free scenarios over TCP loopback and require each digest to match its simulator replay`)
 		tmpl   = flag.String("template", "", `only run scenarios of this template (name prefix, e.g. "churn" or "gray-slow"); generation oversamples until -n matches are found`)
@@ -212,6 +213,10 @@ func writeArtifact(dir string, sc check.Scenario) {
 	data, err := json.MarshalIndent(sc, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mrpccheck: marshal artifact: %v\n", err)
+		return
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fmt.Fprintf(os.Stderr, "mrpccheck: artifact directory: %v\n", err)
 		return
 	}
 	path := filepath.Join(dir, fmt.Sprintf("mrpccheck-%s-%d.json", sc.Name, sc.Seed))

@@ -32,9 +32,10 @@ func TestTreeDisseminationEndToEnd(t *testing.T) {
 	})
 	defer sys.Stop()
 
-	// At-least-once: no Unique Execution, so the client's egress is the
-	// dissemination traffic alone (no per-reply OpAck frames).
-	cfg := AtLeastOnce()
+	// Exactly-once: Unique Execution's acknowledgement rides on the next
+	// call as its low-water mark (D20), so the client's egress is the
+	// dissemination traffic alone.
+	cfg := ExactlyOnce()
 	cfg.Dissemination = DissTree
 	cfg.TreeFanout = 2
 	cfg.AcceptanceLimit = AcceptAll

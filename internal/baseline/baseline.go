@@ -24,7 +24,8 @@ import (
 type Handler func(op msg.OpID, args []byte) []byte
 
 // Server is a monolithic RPC server with fused exactly-once duplicate
-// suppression (seen-call table, retained replies, ACK-based release).
+// suppression (seen-call table, retained replies, release below the
+// client's low-water mark).
 type Server struct {
 	id msg.ProcID
 	ep transport.Endpoint
@@ -33,6 +34,7 @@ type Server struct {
 	mu         sync.Mutex
 	oldCalls   map[msg.CallKey]bool
 	oldResults map[msg.CallKey][]byte
+	floor      map[msg.ProcID]msg.CallID // highest mark seen per client
 }
 
 // NewServer attaches a baseline server to the transport.
@@ -42,6 +44,7 @@ func NewServer(net transport.Transport, id msg.ProcID, h Handler) (*Server, erro
 		h:          h,
 		oldCalls:   make(map[msg.CallKey]bool),
 		oldResults: make(map[msg.CallKey][]byte),
+		floor:      make(map[msg.ProcID]msg.CallID),
 	}
 	ep, err := net.Attach(id, s.handle)
 	if err != nil {
@@ -51,11 +54,39 @@ func NewServer(net transport.Transport, id msg.ProcID, h Handler) (*Server, erro
 	return s, nil
 }
 
+// raiseFloor applies the low-water mark a call carries — the cumulative
+// acknowledgement of every earlier call — and forgets what lies below it.
+// The caller holds s.mu.
+func (s *Server) raiseFloor(client msg.ProcID, mark msg.CallID) {
+	floor := s.floor[client]
+	if mark <= floor {
+		return
+	}
+	if int(mark-floor) <= len(s.oldCalls) {
+		for id := floor; id < mark; id++ {
+			delete(s.oldCalls, msg.CallKey{Client: client, ID: id})
+			delete(s.oldResults, msg.CallKey{Client: client, ID: id})
+		}
+	} else {
+		for k := range s.oldCalls {
+			if k.Client == client && k.ID < mark {
+				delete(s.oldCalls, k)
+				delete(s.oldResults, k)
+			}
+		}
+	}
+	s.floor[client] = mark
+}
+
 func (s *Server) handle(m *msg.NetMsg) {
-	switch m.Type {
-	case msg.OpCall:
+	if m.Type == msg.OpCall {
 		key := m.Key()
 		s.mu.Lock()
+		s.raiseFloor(m.Client, m.AckID)
+		if m.ID < s.floor[m.Client] {
+			s.mu.Unlock()
+			return // settled at the client: a stale duplicate
+		}
 		if res, done := s.oldResults[key]; done {
 			s.mu.Unlock()
 			s.reply(m, res)
@@ -74,11 +105,6 @@ func (s *Server) handle(m *msg.NetMsg) {
 		s.oldResults[key] = res
 		s.mu.Unlock()
 		s.reply(m, res)
-
-	case msg.OpAck:
-		s.mu.Lock()
-		delete(s.oldResults, msg.CallKey{Client: m.Client, ID: m.AckID})
-		s.mu.Unlock()
 	}
 }
 
@@ -106,8 +132,9 @@ type pendingCall struct {
 	once    sync.Once
 }
 
-// Client is a monolithic RPC client with fused retransmission, reply
-// acknowledgement, k-of-n acceptance and last-reply collation.
+// Client is a monolithic RPC client with fused retransmission, cumulative
+// reply acknowledgement (a low-water mark on every call), k-of-n acceptance
+// and last-reply collation.
 type Client struct {
 	id      msg.ProcID
 	ep      transport.Endpoint
@@ -150,13 +177,6 @@ func (c *Client) handle(m *msg.NetMsg) {
 	if m.Type != msg.OpReply {
 		return
 	}
-	// Acknowledge so the server can release the retained reply.
-	c.ep.Push(m.Sender, &msg.NetMsg{
-		Type:   msg.OpAck,
-		Client: c.id,
-		Sender: c.id,
-		AckID:  m.ID,
-	})
 	c.mu.Lock()
 	pc, ok := c.pending[m.ID]
 	if !ok {
@@ -194,6 +214,7 @@ func (c *Client) retransmitLoop(th *proc.Thread) {
 		}
 		var out []resend
 		c.mu.Lock()
+		mark := c.lowWater()
 		for id, pc := range c.pending {
 			for _, p := range pc.group {
 				if pc.acked[p] {
@@ -207,6 +228,7 @@ func (c *Client) retransmitLoop(th *proc.Thread) {
 					Args:   pc.args,
 					Server: pc.group,
 					Sender: c.id,
+					AckID:  mark,
 				}})
 			}
 		}
@@ -215,6 +237,17 @@ func (c *Client) retransmitLoop(th *proc.Thread) {
 			c.ep.Push(rs.to, rs.m)
 		}
 	}
+}
+
+// lowWater returns the lowest call id still pending, or the next to issue:
+// every reply below it has been received, so the servers may release them.
+// The caller holds c.mu.
+func (c *Client) lowWater() msg.CallID {
+	mark := c.next
+	for id := range c.pending {
+		mark = min(mark, id)
+	}
+	return mark
 }
 
 // Call synchronously invokes op on the group, completing once accept
@@ -240,6 +273,7 @@ func (c *Client) Call(op msg.OpID, args []byte, group msg.Group, accept int) []b
 	id := c.next
 	c.next++
 	c.pending[id] = pc
+	mark := c.lowWater()
 	c.mu.Unlock()
 
 	c.ep.Multicast(group, &msg.NetMsg{
@@ -250,6 +284,7 @@ func (c *Client) Call(op msg.OpID, args []byte, group msg.Group, accept int) []b
 		Args:   args,
 		Server: group,
 		Sender: c.id,
+		AckID:  mark,
 	})
 
 	<-pc.done

@@ -42,9 +42,10 @@ const (
 
 // Handler priorities for MSG_FROM_NETWORK, ascending = earlier. The values
 // implement the ordering discussed in DESIGN.md §4 (including deviations
-// D2 and D3 relative to the paper's numbers).
+// D2, D3 and D20 relative to the paper's numbers).
 const (
 	PrioAssignOrder    = 5   // Total Order: leader assigns sequence numbers
+	PrioFloor          = 7   // Unique Execution: drop settled calls below the client's floor (D20)
 	PrioReliable       = 10  // Reliable Communication: ack bookkeeping (first, as in the paper)
 	PrioOrphan         = 15  // Interference Avoidance / Terminate Orphan
 	PrioUnique         = 20  // Unique Execution: drop duplicates
@@ -249,9 +250,9 @@ type Options struct {
 //     barrier (Composite.Swap holds dispatchMu exclusively while every
 //     dispatch path holds it shared), so runtime reads need no further
 //     synchronization;
-//   - runtime scalars with their own discipline (nextSeq and inc are
-//     atomics; the causal vector and the serial drain queue keep dedicated
-//     mutexes because they are genuinely mutated on the hot path).
+//   - runtime scalars with their own discipline (inc is an atomic; the
+//     low-water mark, the causal vector and the serial drain queue keep
+//     dedicated mutexes because they are genuinely mutated on the hot path).
 type Framework struct {
 	site       *proc.Site
 	bus        *event.Bus
@@ -266,7 +267,9 @@ type Framework struct {
 	// Call tables (pRPC and sRPC, §4.2), sharded; see table.go.
 	clients clientTable
 	servers serverTable
-	nextSeq atomic.Int64
+	// lw issues call ids and tracks the client low-water mark stamped on
+	// every outgoing call (D20; see window.go).
+	lw lowWater
 
 	hold [numHold]bool // HOLD array: properties every call must satisfy
 
@@ -353,7 +356,7 @@ func NewFramework(opts Options) (*Framework, error) {
 	fw.net = fw.flusher
 	fw.clients.init()
 	fw.servers.init()
-	fw.nextSeq.Store(1)
+	fw.lw.init()
 	fw.inc.Store(int32(opts.Site.Inc()))
 	fw.admitCond = sync.NewCond(&fw.admitMu)
 	// Timer firings must participate in the reconfiguration barrier; the
@@ -591,7 +594,7 @@ func (fw *Framework) NewClientRec(op msg.OpID, args []byte, group msg.Group, vc 
 	// with its pre-crash calls in server-side tables, while ids stay dense
 	// within one incarnation (which FIFO Order's id+1 arithmetic needs).
 	// The paper leaves id freshness across recoveries unspecified.
-	id := msg.CallID(int64(fw.Inc())<<32 | (fw.nextSeq.Add(1) - 1))
+	id := fw.lw.issue(fw.Inc())
 	// The input args double as the initial output value, matching the
 	// paper's single args field; Collation replaces them with its init
 	// value before any reply arrives (deviation D7: retransmissions use
@@ -626,10 +629,30 @@ func (fw *Framework) NewClientRec(op msg.OpID, args []byte, group msg.Group, vc 
 
 // TakeClient removes and returns the record for id, transferring ownership:
 // the record is unreachable afterwards, so the caller may read its fields
-// without further locking.
+// without further locking. The record's hold on the low-water mark goes
+// with it.
 func (fw *Framework) TakeClient(id msg.CallID) (*ClientRecord, bool) {
-	return fw.clients.take(id)
+	rec, ok := fw.clients.take(id)
+	if ok {
+		fw.lw.release(id)
+	}
+	return rec, ok
 }
+
+// LowWater returns the client low-water mark W (D20): every call id this
+// node issued below W is settled — its record collected and its
+// transmission state retired — so a server may forget it. Stamped into the
+// AckID of every outgoing CALL; zero before the first call.
+func (fw *Framework) LowWater() msg.CallID { return fw.lw.load() }
+
+// HoldLowWater adds a hold on an issued call id that is still held (by its
+// client record): W stays at or below id until the matching
+// ReleaseLowWater. Reliable Communication holds each call it transmits until
+// its entry retires.
+func (fw *Framework) HoldLowWater(id msg.CallID) { fw.lw.hold(id) }
+
+// ReleaseLowWater drops a hold taken with HoldLowWater.
+func (fw *Framework) ReleaseLowWater(id msg.CallID) { fw.lw.release(id) }
 
 // HasClient reports whether a pending call record for id exists.
 func (fw *Framework) HasClient(id msg.CallID) bool {

@@ -22,7 +22,9 @@ import (
 // lifetime: servers acknowledge receipt of every Call (the paper's "some
 // other form of acknowledgment"), and the client retransmits until every
 // member has acknowledged — lingering past the call's local completion,
-// bounded by LingerRounds for calls the client has abandoned.
+// bounded by LingerRounds for calls the client has abandoned. An entry holds
+// the client's low-water mark (D20) until it retires, so the servers keep
+// their record of a call for as long as the client may still send it.
 type ReliableCommunication struct {
 	// RetransTimeout is the retransmission period (default 20ms).
 	RetransTimeout time.Duration
@@ -37,8 +39,17 @@ type ReliableCommunication struct {
 	// retransmission continues under the new instance, and the server-side
 	// receipt record keeps duplicate acks flowing.
 	live map[msg.CallID]*relEntry
-	seen map[msg.CallKey]bool // server side: calls already received
+	// seen is the server side's record of calls already received, one
+	// window per (client, incarnation) floored at the client's low-water
+	// mark (D20): a call below the floor is settled at its client, which
+	// no longer needs its receipt acknowledged.
+	seen clientWindows[receivedSlot]
 }
+
+// receivedSlot records that a call was received at this server.
+type receivedSlot bool
+
+func (r receivedSlot) admitted() bool { return bool(r) }
 
 var _ MicroProtocol = (*ReliableCommunication)(nil)
 var _ Stateful = (*ReliableCommunication)(nil)
@@ -82,10 +93,20 @@ const (
 	relReplied              // the member's response arrived here
 )
 
+// all reports whether every member's acknowledgement includes need.
+func (e *relEntry) all(need uint8) bool {
+	for _, a := range e.acks {
+		if a&need == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // relState is ReliableCommunication's exported migration state.
 type relState struct {
 	live map[msg.CallID]*relEntry
-	seen map[msg.CallKey]bool
+	seen clientWindows[receivedSlot]
 }
 
 // Name implements MicroProtocol.
@@ -143,8 +164,20 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 	b := NewBinding(fw)
 	r.b = b
 	r.live = make(map[msg.CallID]*relEntry)
-	r.seen = make(map[msg.CallKey]bool)
+	r.seen = make(clientWindows[receivedSlot])
 
+	// retire ends an entry's transmission and its hold on the client's
+	// low-water mark. The caller holds r.mu.
+	retire := func(e *relEntry) {
+		delete(r.live, e.id)
+		fw.ReleaseLowWater(e.id)
+		releaseRelEntry(e)
+	}
+
+	// mark records an acknowledgement and retires the entry as soon as it
+	// is settled, so the low-water mark follows completions rather than
+	// the next tick: every member replied, or — once the caller has moved
+	// on — every member received the call.
 	mark := func(id msg.CallID, from msg.ProcID, reply bool) {
 		r.mu.Lock()
 		if e, ok := r.live[id]; ok {
@@ -157,6 +190,9 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 					e.acks[i] |= bits
 					break
 				}
+			}
+			if e.all(relReplied) || (e.all(relReceived) && !fw.HasClient(id)) {
+				retire(e)
 			}
 		}
 		r.mu.Unlock()
@@ -190,6 +226,7 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 			if e == nil {
 				return
 			}
+			fw.HoldLowWater(id)
 			r.mu.Lock()
 			r.live[id] = e
 			r.mu.Unlock()
@@ -207,11 +244,12 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 				// delivery is not acknowledged: on the fast path the reply
 				// itself settles the member, keeping the extra message off
 				// the common case.
-				key := m.Key()
 				r.mu.Lock()
-				dup := r.seen[key]
-				if !dup {
-					r.seen[key] = true
+				r.seen.observe(m.Client, m.AckID)
+				dup := false
+				if s := r.seen.slot(m.Client, m.ID); s != nil {
+					dup = bool(*s)
+					*s = true
 				}
 				r.mu.Unlock()
 				if dup {
@@ -268,6 +306,7 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 			m  *msg.NetMsg
 		}
 		var out []resend
+		lowWater := fw.LowWater()
 		r.mu.Lock()
 		for id, e := range r.live {
 			pending := fw.HasClient(id)
@@ -281,21 +320,12 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 				// receive the call, then presume the rest crashed.
 				e.linger++
 				if e.linger > lingerRounds {
-					delete(r.live, id)
-					releaseRelEntry(e)
+					retire(e)
 					continue
 				}
 			}
-			done := true
-			for i := range e.group {
-				if e.acks[i]&need == 0 {
-					done = false
-					break
-				}
-			}
-			if done {
-				delete(r.live, id)
-				releaseRelEntry(e)
+			if e.all(need) {
+				retire(e)
 				continue
 			}
 			for i, p := range e.group {
@@ -311,6 +341,7 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 					Server: e.group,
 					Sender: fw.Self(),
 					Inc:    fw.Inc(),
+					AckID:  lowWater,
 					VC:     e.vc,
 				}})
 			}
@@ -325,5 +356,8 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 	return b.Err()
 }
 
-// Detach implements MicroProtocol.
+// Detach implements MicroProtocol. Live entries keep their holds on the
+// low-water mark: ExportState hands them, holds included, to the successor,
+// and a swap that drops Reliable Communication altogether is drain-class,
+// so it runs with none live.
 func (r *ReliableCommunication) Detach(*Framework) { r.b.Detach() }

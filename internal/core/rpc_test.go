@@ -479,7 +479,11 @@ func TestEventRegistrationsMatchFigure3(t *testing.T) {
 	for _, r := range netOrder {
 		names = append(names, r.Name)
 	}
+	// The floor handler is D20's addition: without Total Order it runs
+	// ahead of everything the figure shows, so a settled duplicate is
+	// dropped before any of them.
 	want := []string{
+		"UniqueExec.floor",
 		"ReliableComm.msgFromNet",
 		"UniqueExec.msgFromNet",
 		"RPCMain.msgFromNet",

@@ -97,6 +97,8 @@ func (r *RPCMain) Attach(fw *Framework) error {
 			fw.Bus().Trigger(event.NewRPCCall, ib)
 			callIDPool.Put(ib)
 
+			// AckID carries the low-water mark: the servers' cumulative
+			// acknowledgement of every earlier call (D20).
 			call := &msg.NetMsg{
 				Type:   msg.OpCall,
 				ID:     rec.ID,
@@ -106,6 +108,7 @@ func (r *RPCMain) Attach(fw *Framework) error {
 				Server: rec.Server,
 				Sender: fw.Self(),
 				Inc:    fw.Inc(),
+				AckID:  fw.LowWater(),
 				VC:     rec.VC,
 			}
 			fw.Net().Multicast(rec.Server, call)

@@ -282,11 +282,6 @@ func (tx ClientTx) Each(f func(*ClientRecord)) {
 	}
 }
 
-// Remove deletes the record for id.
-func (tx ClientTx) Remove(id msg.CallID) {
-	delete(tx.t.shards[clientShardOf(id)].recs, id)
-}
-
 // ClientTx runs f with every client shard locked, for handlers that need
 // cross-record atomicity (Acceptance's failure sweep, Close's abort sweep).
 // f must not call back into the table layer outside tx, must not trigger

@@ -117,7 +117,11 @@ type NetOp uint8
 const (
 	OpCall NetOp = iota + 1
 	OpReply
-	OpAck // acknowledges a Reply (client -> server, Unique Execution)
+	// OpAck is the paper's per-reply ACK (client -> server). Nothing sends
+	// it any more: replies are acknowledged cumulatively by the low-water
+	// mark in a CALL's AckID (D20). The value stays so the types after it
+	// keep their wire numbers.
+	OpAck
 	OpOrder
 	OpHeartbeat
 	OpProbe
@@ -175,7 +179,7 @@ type NetMsg struct {
 	Server Group       // identity of the server group
 	Sender ProcID      // sender of this message
 	Inc    Incarnation // sender's incarnation number (clients)
-	AckID  CallID      // id of a call being acknowledged (ACK)
+	AckID  CallID      // CALL_ACK/RELAY_ACK: the call acknowledged; CALL: the sender's low-water mark — it has settled every lower id of the mark's incarnation (D20)
 	Order  int64       // total order sequence number (ORDER)
 	VC     VClock      // causal timestamp (Causal Order extension)
 	Relay  uint8       // dissemination-tree fanout k; 0 = flat (D17)

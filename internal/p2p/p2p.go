@@ -51,7 +51,11 @@ type Server struct {
 	mu         sync.Mutex
 	oldCalls   map[msg.CallKey]bool
 	oldResults map[msg.CallKey][]byte
-	threads    *proc.Threads
+	// floor is each client's low-water mark, the highest seen: every call
+	// below it is settled at the client, so its entries are gone from
+	// oldCalls/oldResults and a copy that still arrives is dropped.
+	floor   map[msg.ProcID]msg.CallID
+	threads *proc.Threads
 }
 
 // NewServer attaches a compact server for id to the transport.
@@ -65,6 +69,7 @@ func NewServer(net transport.Transport, id msg.ProcID, opts Options, h Handler) 
 		unique:     opts.Unique,
 		oldCalls:   make(map[msg.CallKey]bool),
 		oldResults: make(map[msg.CallKey][]byte),
+		floor:      make(map[msg.ProcID]msg.CallID),
 		threads:    proc.NewThreads(),
 	}
 	ep, err := net.Attach(id, s.handle)
@@ -79,22 +84,44 @@ func NewServer(net transport.Transport, id msg.ProcID, opts Options, h Handler) 
 func (s *Server) Close() { s.threads.KillAll() }
 
 func (s *Server) handle(m *msg.NetMsg) {
-	switch m.Type {
-	case msg.OpCall:
+	if m.Type == msg.OpCall {
 		s.handleCall(m)
-	case msg.OpAck:
-		if s.unique {
-			s.mu.Lock()
-			delete(s.oldResults, msg.CallKey{Client: m.Client, ID: m.AckID})
-			s.mu.Unlock()
+	}
+}
+
+// raiseFloor applies the low-water mark a call carries: the client has
+// settled every call below it, which is the cumulative acknowledgement of
+// their retained results. The caller holds s.mu.
+func (s *Server) raiseFloor(client msg.ProcID, mark msg.CallID) {
+	floor := s.floor[client]
+	if mark <= floor {
+		return
+	}
+	if int(mark-floor) <= len(s.oldCalls) {
+		for id := floor; id < mark; id++ {
+			delete(s.oldCalls, msg.CallKey{Client: client, ID: id})
+			delete(s.oldResults, msg.CallKey{Client: client, ID: id})
+		}
+	} else {
+		for k := range s.oldCalls {
+			if k.Client == client && k.ID < mark {
+				delete(s.oldCalls, k)
+				delete(s.oldResults, k)
+			}
 		}
 	}
+	s.floor[client] = mark
 }
 
 func (s *Server) handleCall(m *msg.NetMsg) {
 	key := m.Key()
 	if s.unique {
 		s.mu.Lock()
+		s.raiseFloor(m.Client, m.AckID)
+		if m.ID < s.floor[m.Client] {
+			s.mu.Unlock()
+			return // settled at the client: a stale duplicate
+		}
 		if res, done := s.oldResults[key]; done {
 			s.mu.Unlock()
 			s.reply(m, res)
@@ -241,6 +268,7 @@ func (c *Client) Call(server msg.ProcID, op msg.OpID, args []byte) ([]byte, msg.
 	id := c.nextID
 	c.nextID++
 	c.pending[id] = pc
+	call := c.buildCall(id, pc)
 	c.mu.Unlock()
 
 	if c.opts.Bounded {
@@ -248,7 +276,7 @@ func (c *Client) Call(server msg.ProcID, op msg.OpID, args []byte) ([]byte, msg.
 			c.expire(id)
 		})
 	}
-	c.ep.Push(server, c.buildCall(id, pc))
+	c.ep.Push(server, call)
 
 	<-pc.done
 	if pc.expired != nil {
@@ -279,7 +307,14 @@ func (c *Client) expire(id msg.CallID) {
 	}
 }
 
+// buildCall builds the Call for a pending record. Its AckID is the client's
+// low-water mark — the lowest id still pending, or the next to issue — which
+// acknowledges every earlier reply at once. The caller holds c.mu.
 func (c *Client) buildCall(id msg.CallID, pc *p2pCall) *msg.NetMsg {
+	mark := c.nextID
+	for pending := range c.pending {
+		mark = min(mark, pending)
+	}
 	return &msg.NetMsg{
 		Type:   msg.OpCall,
 		ID:     id,
@@ -287,20 +322,13 @@ func (c *Client) buildCall(id msg.CallID, pc *p2pCall) *msg.NetMsg {
 		Op:     pc.op,
 		Args:   pc.args,
 		Sender: c.id,
+		AckID:  mark,
 	}
 }
 
 func (c *Client) handle(m *msg.NetMsg) {
 	if m.Type != msg.OpReply {
 		return
-	}
-	if c.opts.Unique {
-		c.ep.Push(m.Sender, &msg.NetMsg{
-			Type:   msg.OpAck,
-			Client: c.id,
-			Sender: c.id,
-			AckID:  m.ID,
-		})
 	}
 	c.mu.Lock()
 	pc, ok := c.pending[m.ID]
