@@ -177,7 +177,7 @@ func RunOver(sc Scenario, newTransport TransportFactory) (*Result, error) {
 	for i, st := range sc.Steps {
 		switch st.Kind {
 		case StepCalls:
-			w := startBatch(clients[st.Client], st.N, group)
+			w := startBatch(clients[st.Client], st.Client, st.N, group)
 			if st.Wait {
 				if !w.join(clk, deadline) {
 					return nil, fmt.Errorf("check: step %d: call batch did not complete", i)
@@ -203,6 +203,17 @@ func RunOver(sc Scenario, newTransport TransportFactory) (*Result, error) {
 			n, ok := sys.Node(st.Node)
 			if !ok {
 				return nil, fmt.Errorf("check: step %d: no node %d", i, st.Node)
+			}
+			// A batch the node was running when it crashed ends with its
+			// incarnation: its in-flight call was aborted and its later
+			// calls fail fast on the down node. Joining it before the
+			// recovery keeps those later calls from being issued by the
+			// new incarnation, which would make the number of calls the
+			// digest counts depend on timing.
+			for _, w := range workers {
+				if w.client == st.Node && !w.join(clk, deadline) {
+					return nil, fmt.Errorf("check: step %d: crashed node's call batch did not end", i)
+				}
 			}
 			if err := n.Recover(); err != nil {
 				return nil, err
@@ -354,19 +365,20 @@ func outstandingOf(sys *mrpc.System, servers int) (int, bool) {
 
 // workerHandle tracks one call batch running on its own thread.
 type workerHandle struct {
-	th *proc.Thread
+	client msg.ProcID
+	th     *proc.Thread
 }
 
 // startBatch issues count sequential calls from n on a dedicated thread;
 // statuses and errors are not inspected here — the structured trace is the
 // record the oracles judge.
-func startBatch(n *mrpc.Node, count int, group mrpc.Group) *workerHandle {
+func startBatch(n *mrpc.Node, client msg.ProcID, count int, group mrpc.Group) *workerHandle {
 	th := proc.Go(func(*proc.Thread) {
 		for j := 0; j < count; j++ {
 			_, _, _ = n.Call(OpWork, []byte{byte(j + 1)}, group)
 		}
 	})
-	return &workerHandle{th: th}
+	return &workerHandle{client: client, th: th}
 }
 
 // join waits for the batch to finish, polling against the run deadline.

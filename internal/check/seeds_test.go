@@ -38,6 +38,13 @@ import (
 //     client's link to member 1 races a no-wait batch AND a drain-class
 //     none→FIFO reconfiguration — admission's quiesce and the reliable
 //     layer's retransmissions both thread the flapping window (D19).
+//
+//   - fifo-straggler-opens-lane: two sequential calls to six members under
+//     synchronous FIFO at acceptance 1 over tree dissemination, no faults.
+//     The client issues call 2 once one member has answered call 1, so a
+//     straggler can receive call 2 first; its lane must open at the
+//     client's low-water mark and wait for call 1, not start at call 2
+//     and discard call 1 as already served (D15, D20).
 func TestGoldenSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden seeds skipped in -short mode")

@@ -13,16 +13,31 @@ import (
 // property), tracking only a per-client next-expected call id within the
 // client's current incarnation.
 //
-// Initialization of the per-client sequence follows the paper by default:
-// the first call that *arrives* defines the starting point. That is sound
-// for synchronous clients (call k+1 is only issued after call k completed
-// everywhere it will ever be observed from) and lets a restarted server
-// resynchronize, but it is a liveness hazard for *pipelined* asynchronous
-// clients — a reordered first batch would make the server adopt a later
-// call as the start and drop the earlier ones forever. StrictInit fixes
-// that by expecting each incarnation's sequence to start at its first call
-// (which the D9 id scheme makes recognizable); the configuration layer
-// enables it automatically for asynchronous-call services.
+// A lane (the per-client sequence) that opens mid-stream learns its start
+// from the client rather than from arrival order. Every CALL carries the
+// client's low-water mark W (D20), the lowest call id it still holds, and
+// with Reliable Communication a call stays held until every member has
+// received it: every call below W has reached this member already, and
+// every call at or above W that has not will still be sent to it. So the
+// lane opens at W (or at the arriving call, if W belongs to another
+// incarnation or is absent) and holds the gap until Reliable Communication
+// fills it. The paper's rule, where the first call to arrive defines the
+// start, loses every call that a later one overtakes: with an acceptance
+// limit below the group size the client issues call k+1 as soon as one
+// member has answered call k, so a straggler can see k+1 first and then
+// discard k as already served. Without Reliable Communication W trails only
+// the calls still pending, and a lane can still open above a call in
+// transit, as under the paper's rule.
+//
+// Two cases keep the arriving call as the start. A member rebuilt after a
+// crash may have received the mark's call in its past life, and no one
+// sends it again. A call held across a reconfiguration is adopted (see
+// Adopt): calls below it may have run here under the previous
+// configuration, outside any lane. StrictInit instead starts each
+// incarnation's sequence at its first call (which the D9 id scheme makes
+// recognizable); the configuration layer enables it for asynchronous-call
+// services, where pipelining makes an overtaken first call the common case
+// and W, without Reliable Communication, passes calls still in transit.
 type FIFOOrder struct {
 	// StrictInit makes the expected sequence of a newly seen incarnation
 	// start at its first call instead of at the first call to arrive.
@@ -30,6 +45,9 @@ type FIFOOrder struct {
 
 	b  *Binding
 	mu sync.Mutex
+	// amnesiac is set on a member rebuilt after a crash: its lanes do not
+	// open at the client's mark (see the type comment).
+	amnesiac bool
 	// inProgress migrates across a swap (a FIFO→FIFO parameter change must
 	// not forget where each client's sequence stands).
 	inProgress map[msg.ProcID]*fifoEntry
@@ -71,9 +89,16 @@ func firstCallID(inc msg.Incarnation) msg.CallID {
 	return msg.CallID(int64(inc)<<32 | 1)
 }
 
-func (f *FIFOOrder) start(m *msg.NetMsg) msg.CallID {
-	if f.StrictInit {
+// start returns where a lane opened by m begins. adopted marks a call
+// re-homed by a reconfiguration, which starts its lane where it stands.
+func (f *FIFOOrder) start(m *msg.NetMsg, adopted bool) msg.CallID {
+	switch {
+	case f.StrictInit:
 		return firstCallID(m.Inc)
+	case adopted || f.amnesiac:
+		return m.ID
+	case m.AckID != 0 && m.AckID < m.ID && callInc(m.AckID) == callInc(m.ID):
+		return m.AckID
 	}
 	return m.ID
 }
@@ -82,12 +107,12 @@ func (f *FIFOOrder) start(m *msg.NetMsg) msg.CallID {
 // It returns release=true when the call is next in its client's sequence
 // (the caller forwards it up) and stale=true when the call belongs to a
 // dead incarnation or an already-served position (the caller discards it).
-func (f *FIFOOrder) admit(m *msg.NetMsg) (release, stale bool) {
+func (f *FIFOOrder) admit(m *msg.NetMsg, adopted bool) (release, stale bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ip, seen := f.inProgress[m.Client]
 	if !seen {
-		ip = &fifoEntry{inc: m.Inc, next: f.start(m)}
+		ip = &fifoEntry{inc: m.Inc, next: f.start(m, adopted)}
 		f.inProgress[m.Client] = ip
 	} else {
 		if ip.inc > m.Inc || (ip.inc == m.Inc && m.ID < ip.next) {
@@ -95,7 +120,7 @@ func (f *FIFOOrder) admit(m *msg.NetMsg) (release, stale bool) {
 		}
 		if ip.inc < m.Inc {
 			ip.inc = m.Inc
-			ip.next = f.start(m)
+			ip.next = f.start(m, adopted)
 		}
 	}
 	return m.ID == ip.next, false
@@ -108,7 +133,7 @@ func (f *FIFOOrder) admit(m *msg.NetMsg) (release, stale bool) {
 // so a freshly initialized sequence adopts each client's earliest held call
 // as its starting point.
 func (f *FIFOOrder) Adopt(key msg.CallKey, m *msg.NetMsg) {
-	release, stale := f.admit(m)
+	release, stale := f.admit(m, true)
 	switch {
 	case stale:
 		f.fw().DropServerCall(key)
@@ -124,6 +149,7 @@ func (f *FIFOOrder) Attach(fw *Framework) error {
 	fw.SetHold(HoldFIFO)
 	b := NewBinding(fw)
 	f.b = b
+	f.amnesiac = fw.Inc() > 1
 	f.inProgress = make(map[msg.ProcID]*fifoEntry)
 
 	b.On(event.MsgFromNetwork, "FIFOOrder.msgFromNet", PrioOrder,
@@ -132,7 +158,7 @@ func (f *FIFOOrder) Attach(fw *Framework) error {
 			if m.Type != msg.OpCall {
 				return
 			}
-			release, stale := f.admit(m)
+			release, stale := f.admit(m, false)
 			switch {
 			case stale:
 				// Stale incarnation or already-served call: discard

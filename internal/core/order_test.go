@@ -6,6 +6,7 @@ import (
 
 	"mrpc/internal/member"
 	"mrpc/internal/msg"
+	"mrpc/internal/proc"
 )
 
 // fifoNode builds a server with FIFO Order (and its dependencies' handlers
@@ -137,6 +138,59 @@ func TestFIFOStrictInitHoldsReorderedOpening(t *testing.T) {
 	got = srv.executed()
 	if len(got) != 5 || got[3] != "i2c1" || got[4] != "i2c2" {
 		t.Fatalf("executed %v", got)
+	}
+}
+
+// callMarked is callMsg for a call that carries its client's low-water mark.
+func callMarked(client msg.ProcID, id, mark msg.CallID, inc msg.Incarnation, group msg.Group, payload string) *msg.NetMsg {
+	m := callMsg(client, id, inc, group, payload)
+	m.AckID = mark
+	return m
+}
+
+func TestFIFOLaneOpensAtClientMark(t *testing.T) {
+	net := newMemNet()
+	n, srv := fifoNode(t, net)
+	group := msg.NewGroup(1)
+
+	// Call 2 overtakes call 1, which the client still holds (its mark is
+	// 1): the lane opens at 1 and holds call 2 instead of discarding call 1
+	// when it arrives.
+	n.fw.HandleNet(callMarked(100, mkID(1, 2), mkID(1, 1), 1, group, "c2"))
+	if got := srv.executed(); len(got) != 0 {
+		t.Fatalf("executed %v ahead of the client's mark", got)
+	}
+	n.fw.HandleNet(callMarked(100, mkID(1, 1), mkID(1, 1), 1, group, "c1"))
+	got := srv.executed()
+	if len(got) != 2 || got[0] != "c1" || got[1] != "c2" {
+		t.Fatalf("executed %v, want [c1 c2]", got)
+	}
+
+	// A mark of another incarnation says nothing about this one's calls:
+	// the new incarnation's lane opens at the call itself.
+	n.fw.HandleNet(callMarked(100, mkID(2, 3), mkID(1, 2), 2, group, "i2c3"))
+	if got := srv.executed(); len(got) != 3 || got[2] != "i2c3" {
+		t.Fatalf("executed %v, want i2c3 run on arrival", got)
+	}
+}
+
+func TestFIFORebuiltMemberOpensAtArrival(t *testing.T) {
+	// A member rebuilt after a crash may have received the mark's call in
+	// its past life, so no one sends it again: its lane opens at the first
+	// call to arrive rather than wait at the mark forever.
+	site := proc.NewSite(1)
+	site.Crash()
+	site.Recover()
+	net := newMemNet()
+	srv := &recordingServer{}
+	n := addNode(t, net, 1, nodeOpts{server: srv, site: site},
+		&RPCMain{}, &SynchronousCall{}, &Acceptance{Limit: 1}, &Collation{},
+		&UniqueExecution{}, &FIFOOrder{})
+	group := msg.NewGroup(1)
+
+	n.fw.HandleNet(callMarked(100, mkID(1, 2), mkID(1, 1), 1, group, "c2"))
+	if got := srv.executed(); len(got) != 1 || got[0] != "c2" {
+		t.Fatalf("executed %v, want [c2]", got)
 	}
 }
 
