@@ -164,6 +164,16 @@ func (c *CausalOrder) Attach(fw *Framework) error {
 			}
 		})
 
+	// One long-lived cancellation compensation for a held call: it reads
+	// the key from the occurrence instead of a per-call capturing closure
+	// (D6).
+	forgetHeld := func(o *event.Occurrence) {
+		key := o.Arg.(*NetEvent).Msg.Key()
+		c.mu.Lock()
+		delete(c.held, key)
+		c.mu.Unlock()
+	}
+
 	b.On(event.MsgFromNetwork, "CausalOrder.msgFromNet", PrioOrder,
 		func(o *event.Occurrence) {
 			m := o.Arg.(*NetEvent).Msg
@@ -209,11 +219,7 @@ func (c *CausalOrder) Attach(fw *Framework) error {
 				c.mu.Lock()
 				c.held[key] = causalHeld{vc: m.VC, client: client}
 				c.mu.Unlock()
-				o.OnCancel(func(*event.Occurrence) {
-					c.mu.Lock()
-					delete(c.held, key)
-					c.mu.Unlock()
-				})
+				o.OnCancel(forgetHeld)
 			}
 		})
 

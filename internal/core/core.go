@@ -417,6 +417,17 @@ func (fw *Framework) Bus() *event.Bus { return fw.bus }
 // Net returns the communication substrate.
 func (fw *Framework) Net() Transport { return fw.net }
 
+// MulticastOthers sends m to every member of group except this node,
+// through the same flush queue and dissemination as Net().Multicast: in
+// tree mode the origin's egress stays at the fanout. A micro-protocol that
+// applies its own message in place (Total Order's ORDER, D4) uses it
+// instead of receiving that message back through the network. The group
+// is passed whole, never shrunk: the disseminator sends any frame whose
+// Server differs from the multicast group flat.
+func (fw *Framework) MulticastOthers(group msg.Group, m *msg.NetMsg) {
+	fw.flusher.MulticastOthers(group, m)
+}
+
 // Membership returns the membership service.
 func (fw *Framework) Membership() member.Service { return fw.membership }
 

@@ -50,6 +50,17 @@ type Disseminator struct {
 	entries map[relayKey]*relayEntry
 	ring    [relayWindow]relayKey
 	ringPos int
+
+	// others caches the last group a flat skip-self send went to, with
+	// that group minus this node, so a steady group's skip-self send
+	// builds no slice.
+	others atomic.Pointer[othersGroup]
+}
+
+// othersGroup pairs a multicast group with the same group minus this node.
+// Both slices are private copies and never mutated after publication.
+type othersGroup struct {
+	group, others msg.Group
 }
 
 // relayWindow bounds how many in-flight frames a node can re-deliver
@@ -110,11 +121,17 @@ func (d *Disseminator) Push(to msg.ProcID, m *msg.NetMsg) { d.net.Push(to, m) }
 // stamped with the fanout and sent to this node's children only; everything
 // else (flat mode, frames already frozen elsewhere, tiny groups, frames not
 // addressed to the group they are multicast to) goes out flat.
-func (d *Disseminator) Multicast(group msg.Group, m *msg.NetMsg) {
+func (d *Disseminator) Multicast(group msg.Group, m *msg.NetMsg) { d.multicast(group, m, false) }
+
+// multicast is Multicast; with others set it leaves out the origin's own
+// delivery (Framework.MulticastOthers): in tree mode the origin sends to
+// its children and skips its own Push, and a flat send goes to the group
+// minus this node.
+func (d *Disseminator) multicast(group msg.Group, m *msg.NetMsg, others bool) {
 	k := int(d.fanout.Load())
 	if k < 2 || len(group) <= k || m.Type == msg.OpBatch || m.Frozen() ||
 		m.Sender != d.fw.Self() || !m.Server.Equal(group) {
-		d.net.Multicast(group, m)
+		d.flat(group, m, others)
 		return
 	}
 	self := d.fw.Self()
@@ -124,20 +141,50 @@ func (d *Disseminator) Multicast(group msg.Group, m *msg.NetMsg) {
 	if len(children) == 0 {
 		// Every member is down (per the local view); send flat so the
 		// frame still reaches anyone the view is wrong about.
-		d.net.Multicast(group, m)
+		d.flat(group, m, others)
 		return
 	}
 	// Register before sending: the origin re-delivers from its window too
 	// when a child fails before relaying.
 	d.remember(m, children, nil)
 	d.net.Multicast(children, m)
-	if group.Contains(self) {
+	if !others && group.Contains(self) {
 		d.net.Push(self, m) // the origin's own delivery skips the tree
 	}
 	if d.fw.Tracing() {
 		d.fw.Emit(trace.Event{Kind: trace.KRelay, From: self, Client: m.Client,
 			ID: m.ID, Op: msg.OpID(len(children))})
 	}
+}
+
+// flat sends m to every member of group, or with others set to every
+// member but this node.
+func (d *Disseminator) flat(group msg.Group, m *msg.NetMsg, others bool) {
+	if others {
+		group = d.othersOf(group)
+	}
+	d.net.Multicast(group, m)
+}
+
+// othersOf returns group without this node. The last answer is cached, so a
+// node that keeps multicasting to one group allocates only when the group
+// changes.
+func (d *Disseminator) othersOf(group msg.Group) msg.Group {
+	self := d.fw.Self()
+	if !group.Contains(self) {
+		return group
+	}
+	if c := d.others.Load(); c != nil && c.group.Equal(group) {
+		return c.others
+	}
+	c := &othersGroup{group: group.Clone(), others: make(msg.Group, 0, len(group)-1)}
+	for _, p := range group {
+		if p != self {
+			c.others = append(c.others, p)
+		}
+	}
+	d.others.Store(c)
+	return c.others
 }
 
 // downFn returns the membership view as a predicate, or nil when no member

@@ -29,7 +29,7 @@ const defaultFlushSize = 16
 // reconfiguration can never wedge behind a parked batch.
 type Flusher struct {
 	fw  *Framework
-	net Transport // the real transport beneath the queues
+	net *Disseminator // the dissemination layer beneath the queues
 
 	mu     sync.Mutex
 	max    int // batch size cap (Config.FlushSize)
@@ -44,7 +44,7 @@ type destQueue struct {
 	forced  bool // ForceFlush wants the lane empty despite holds
 }
 
-func newFlusher(fw *Framework, net Transport, max int) *Flusher {
+func newFlusher(fw *Framework, net *Disseminator, max int) *Flusher {
 	if max <= 0 {
 		max = defaultFlushSize
 	}
@@ -96,12 +96,26 @@ func (f *Flusher) Push(to msg.ProcID, m *msg.NetMsg) {
 // no pipeline is open, the multicast goes straight to the transport — the
 // encode-once, single-admission group path (D13) stays intact. Otherwise
 // the frozen message is enqueued per member and rides each lane's batch.
-func (f *Flusher) Multicast(group msg.Group, m *msg.NetMsg) {
+func (f *Flusher) Multicast(group msg.Group, m *msg.NetMsg) { f.multicast(group, m, false) }
+
+// MulticastOthers is Multicast to every member of group but this node
+// (Framework.MulticastOthers).
+func (f *Flusher) MulticastOthers(group msg.Group, m *msg.NetMsg) {
+	f.multicast(group, m, true)
+}
+
+// multicast sends m to group; with others set, this node's own lane is
+// skipped.
+func (f *Flusher) multicast(group msg.Group, m *msg.NetMsg, others bool) {
+	var skip msg.ProcID // 0 is no process id
+	if others {
+		skip = f.fw.Self()
+	}
 	f.mu.Lock()
 	direct := f.holds == 0
 	if direct {
 		for _, to := range group {
-			if q := f.queues[to]; q != nil && len(q.pending) > 0 {
+			if q := f.queues[to]; to != skip && q != nil && len(q.pending) > 0 {
 				direct = false
 				break
 			}
@@ -109,7 +123,7 @@ func (f *Flusher) Multicast(group msg.Group, m *msg.NetMsg) {
 	}
 	if direct {
 		f.mu.Unlock()
-		f.net.Multicast(group, m)
+		f.net.multicast(group, m, others)
 		return
 	}
 	// The message joins several lanes at once and must be immutable from
@@ -118,6 +132,9 @@ func (f *Flusher) Multicast(group msg.Group, m *msg.NetMsg) {
 	var claimedBuf [8]claimedLane
 	claimed := claimedBuf[:0]
 	for _, to := range group {
+		if to == skip {
+			continue
+		}
 		q := f.queueOf(to)
 		q.pending = append(q.pending, m)
 		if q.active || (f.holds > 0 && len(q.pending) < f.max) {

@@ -27,8 +27,8 @@ type memNet struct {
 }
 
 type sentRec struct {
-	To msg.ProcID
-	M  *msg.NetMsg
+	From, To msg.ProcID
+	M        *msg.NetMsg
 }
 
 func newMemNet() *memNet {
@@ -62,10 +62,10 @@ func (n *memNet) countSent(typ msg.NetOp, to msg.ProcID) int {
 	return count
 }
 
-func (n *memNet) deliver(to msg.ProcID, m *msg.NetMsg) {
+func (n *memNet) deliver(from, to msg.ProcID, m *msg.NetMsg) {
 	c := m.Clone()
 	n.mu.Lock()
-	n.sent = append(n.sent, sentRec{To: to, M: c})
+	n.sent = append(n.sent, sentRec{From: from, To: to, M: c})
 	hook := n.hook
 	h := n.handlers[to]
 	async := n.async
@@ -92,16 +92,17 @@ func (n *memNet) deliver(to msg.ProcID, m *msg.NetMsg) {
 func (n *memNet) wait() { n.wg.Wait() }
 
 type memEP struct {
-	n *memNet
+	n    *memNet
+	self msg.ProcID
 }
 
 var _ Transport = memEP{}
 
-func (e memEP) Push(to msg.ProcID, m *msg.NetMsg) { e.n.deliver(to, m) }
+func (e memEP) Push(to msg.ProcID, m *msg.NetMsg) { e.n.deliver(e.self, to, m) }
 
 func (e memEP) Multicast(group msg.Group, m *msg.NetMsg) {
 	for _, to := range group {
-		e.n.deliver(to, m)
+		e.n.deliver(e.self, to, m)
 	}
 }
 
@@ -135,7 +136,7 @@ func addNode(t *testing.T, net *memNet, id msg.ProcID, opts nodeOpts, protos ...
 	fw, err := NewFramework(Options{
 		Site:       site,
 		Bus:        bus,
-		Net:        memEP{n: net},
+		Net:        memEP{n: net, self: id},
 		Server:     opts.server,
 		Membership: opts.membership,
 		Trace:      opts.trace,

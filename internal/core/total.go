@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -55,10 +54,23 @@ type totalState struct {
 	oldOrders map[msg.CallKey]int64       // assigned sequence numbers seen
 	waiting   map[msg.CallKey]*msg.NetMsg // full call, for re-forwarding
 	ready     map[int64]msg.CallKey
-	nextOrder int64                // leader: next number to assign
-	nextEntry int64                // all: next number allowed to execute
-	groups    map[string]msg.Group // groups observed, for leader takeover
-	syncing   bool                 // new leader collecting ORDER_INFO; defer assignments
+	nextOrder int64       // leader: next number to assign
+	nextEntry int64       // all: next number allowed to execute
+	groups    []msg.Group // groups observed, for leader takeover; append-only
+	syncing   bool        // new leader collecting ORDER_INFO; defer assignments
+}
+
+// observeLocked records g as an observed group. Groups are few, so a scan
+// with Equal beats hashing a formatted key, and only a group's first
+// sighting clones it. The slice is append-only: a snapshot taken under the
+// lock stays valid after the lock is released. Caller holds st.mu.
+func (st *totalState) observeLocked(g msg.Group) {
+	for _, o := range st.groups {
+		if o.Equal(g) {
+			return
+		}
+	}
+	st.groups = append(st.groups, g.Clone())
 }
 
 // encodeOrders serializes a (key -> order) table for ORDER_INFO.
@@ -89,8 +101,6 @@ func decodeOrders(data []byte) map[msg.CallKey]int64 {
 	}
 	return out
 }
-
-func groupKey(g msg.Group) string { return fmt.Sprint(g) }
 
 // leader computes the group leader, treating members the membership
 // service reports failed as down.
@@ -133,7 +143,7 @@ func (to *TotalOrder) ExportState() any { return to.st }
 func (to *TotalOrder) ImportState(state any) { to.st = state.(*totalState) }
 
 // assign gives key a sequence number (reusing a previously seen assignment)
-// and disseminates it.
+// and announces it.
 func (to *TotalOrder) assign(fw *Framework, key msg.CallKey, group msg.Group) {
 	st := to.st
 	st.mu.Lock()
@@ -144,7 +154,17 @@ func (to *TotalOrder) assign(fw *Framework, key msg.CallKey, group msg.Group) {
 		st.nextOrder++
 	}
 	st.mu.Unlock()
-	fw.Net().Multicast(group, &msg.NetMsg{
+	to.announce(fw, key, group, ord)
+}
+
+// announce makes an assignment known to the group: the ORDER goes to the
+// other members along the configured dissemination (a tree keeps the
+// leader's egress at its fanout), and this member applies it in place
+// rather than receiving its own ORDER back through the network (D4). The
+// send comes first so the followers are not kept waiting while a released
+// call executes here.
+func (to *TotalOrder) announce(fw *Framework, key msg.CallKey, group msg.Group, ord int64) {
+	fw.MulticastOthers(group, &msg.NetMsg{
 		Type:   msg.OpOrder,
 		ID:     key.ID,
 		Client: key.Client,
@@ -153,6 +173,7 @@ func (to *TotalOrder) assign(fw *Framework, key msg.CallKey, group msg.Group) {
 		Inc:    fw.Inc(),
 		Order:  ord,
 	})
+	to.applyOrder(fw, key, ord)
 }
 
 // applyOrder records an assignment and releases/drops a held call
@@ -192,7 +213,7 @@ func (to *TotalOrder) Adopt(key msg.CallKey, m *msg.NetMsg) {
 	fw := to.fw()
 	st := to.st
 	st.mu.Lock()
-	st.groups[groupKey(m.Server)] = m.Server.Clone()
+	st.observeLocked(m.Server)
 	syncing := st.syncing
 	st.mu.Unlock()
 
@@ -234,7 +255,17 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 		ready:     make(map[int64]msg.CallKey),
 		nextOrder: 1,
 		nextEntry: 1,
-		groups:    make(map[string]msg.Group),
+	}
+
+	// One long-lived cancellation compensation for a call held waiting for
+	// its number: it reads the key from the occurrence instead of a
+	// per-call capturing closure (D6).
+	forgetWaiting := func(o *event.Occurrence) {
+		key := o.Arg.(*NetEvent).Msg.Key()
+		st := to.st
+		st.mu.Lock()
+		delete(st.waiting, key)
+		st.mu.Unlock()
 	}
 
 	// The leader assigns sequence numbers as soon as a Call arrives
@@ -249,7 +280,7 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 			key := m.Key()
 			st := to.st
 			st.mu.Lock()
-			st.groups[groupKey(m.Server)] = m.Server.Clone()
+			st.observeLocked(m.Server)
 			_, known := st.oldOrders[key]
 			_, isWaiting := st.waiting[key]
 			syncing := st.syncing
@@ -295,11 +326,7 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 				if !ok {
 					st.waiting[key] = m
 					st.mu.Unlock()
-					o.OnCancel(func(*event.Occurrence) {
-						st.mu.Lock()
-						delete(st.waiting, key)
-						st.mu.Unlock()
-					})
+					o.OnCancel(forgetWaiting)
 					return
 				}
 				switch {
@@ -331,36 +358,23 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 				})
 
 			case msg.OpOrderInfo:
-				// Merge a member's assignments; re-disseminate anything we
+				// Merge a member's assignments; re-announce anything we
 				// learned so every member converges on the merged table.
-				reported := decodeOrders(m.Args)
-				var learned []msg.CallKey
+				learned := decodeOrders(m.Args)
 				st.mu.Lock()
-				for k, ord := range reported {
+				for k, ord := range learned {
 					if st.nextOrder < ord+1 {
 						st.nextOrder = ord + 1
 					}
-					if _, ok := st.oldOrders[k]; !ok {
-						st.oldOrders[k] = ord
-						learned = append(learned, k)
+					if _, ok := st.oldOrders[k]; ok {
+						delete(learned, k)
+						continue
 					}
-				}
-				orders := make(map[msg.CallKey]int64, len(learned))
-				for _, k := range learned {
-					orders[k] = st.oldOrders[k]
+					st.oldOrders[k] = ord
 				}
 				st.mu.Unlock()
-				for _, k := range learned {
-					fw.Net().Multicast(m.Server, &msg.NetMsg{
-						Type:   msg.OpOrder,
-						ID:     k.ID,
-						Client: k.Client,
-						Server: m.Server,
-						Sender: fw.Self(),
-						Inc:    fw.Inc(),
-						Order:  orders[k],
-					})
-					to.applyOrder(fw, k, orders[k])
+				for k, ord := range learned {
+					to.announce(fw, k, m.Server, ord)
 				}
 			}
 		})
@@ -415,10 +429,7 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 			}
 			st := to.st
 			st.mu.Lock()
-			groups := make([]msg.Group, 0, len(st.groups))
-			for _, g := range st.groups {
-				groups = append(groups, g)
-			}
+			groups := st.groups
 			maxAssigned := int64(0)
 			for _, ord := range st.oldOrders {
 				if ord > maxAssigned {
@@ -446,7 +457,8 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 			st.syncing = true
 			st.mu.Unlock()
 			for _, g := range leading {
-				fw.Net().Multicast(g, &msg.NetMsg{
+				// Our own table needs no query: ask the others only.
+				fw.MulticastOthers(g, &msg.NetMsg{
 					Type:   msg.OpOrderQuery,
 					Server: g,
 					Sender: fw.Self(),

@@ -117,24 +117,26 @@ func TestUniqueExecutionDropsCopyBelowFloor(t *testing.T) {
 // TestUniqueExecutionSettledCallIsNeverSequenced: a settled copy of a
 // sequenced call only re-announces the number it already has (the lost-ORDER
 // recovery path a follower's nudge relies on) without executing again, and a
-// call older than the grace span below the floor gets no number at all.
+// call older than the grace span below the floor gets no number at all. The
+// node leads a two-member group, so the re-announcement shows on the wire as
+// an ORDER to the follower.
 func TestUniqueExecutionSettledCallIsNeverSequenced(t *testing.T) {
 	net := newMemNet()
 	srv := &recordingServer{}
-	n := addNode(t, net, 1, nodeOpts{server: srv},
+	n := addNode(t, net, 2, nodeOpts{server: srv},
 		&RPCMain{}, &SynchronousCall{}, &Acceptance{Limit: 1}, &Collation{},
 		&ReliableCommunication{RetransTimeout: time.Hour}, &UniqueExecution{},
 		&TotalOrder{NudgeInterval: time.Hour})
-	group := msg.NewGroup(1)
+	group := msg.NewGroup(1, 2)
 	id1, id2 := callID(1, 1), callID(1, 2)
 
 	n.fw.HandleNet(markedCall(id1, id1, group, "one"))
 	n.fw.HandleNet(markedCall(id2, id2, group, "two"))
 	n.fw.HandleNet(markedCall(id1, id1, group, "one"))
 	log := net.sentLog()
-	last := log[len(log)-1].M
-	if last.Type != msg.OpOrder || last.ID != id1 || last.Order != 1 {
-		t.Fatalf("settled copy of call 1 sent %v, want its ORDER re-announced as 1", last)
+	last := log[len(log)-1]
+	if last.To != 1 || last.M.Type != msg.OpOrder || last.M.ID != id1 || last.M.Order != 1 {
+		t.Fatalf("settled copy of call 1 sent %v to %d, want its ORDER re-announced as 1 to member 1", last.M, last.To)
 	}
 
 	// Call 3 never reached this member, and the floor is now further past
