@@ -1002,8 +1002,9 @@ func (fw *Framework) rehomeHeldCalls(seq Sequencer) {
 // unpacked here, its sub-messages dispatched sequentially in send order
 // under one barrier acquisition — the transport contract is unordered, so
 // serializing what used to race as independent deliveries only narrows the
-// interleavings (D16). For Call messages a thread token is created first,
-// so the orphan micro-protocols can track and kill the computation.
+// interleavings — and its replies answered with one frame (D16). For Call
+// messages a thread token is created first, so the orphan micro-protocols
+// can track and kill the computation.
 func (fw *Framework) HandleNet(m *msg.NetMsg) {
 	fw.cmu.Lock()
 	if fw.closed {
@@ -1033,9 +1034,13 @@ func (fw *Framework) HandleNet(m *msg.NetMsg) {
 			fw.Emit(trace.Event{Kind: trace.KBatchDelivered, From: m.Sender,
 				Op: msg.OpID(len(m.Batch))})
 		}
+		// The replies to the frame's calls park in the sender's lane until
+		// the dispatch ends and then leave as one frame (D16).
+		fw.flusher.holdReplies(m.Sender)
 		for _, sub := range m.Batch {
 			fw.handleOne(sub)
 		}
+		fw.flusher.releaseReplies(m.Sender)
 		return
 	}
 	fw.handleOne(m)
@@ -1128,7 +1133,9 @@ func (fw *Framework) CollectUserMsg(um *msg.UserMsg) {
 		um.Status = msg.StatusAborted
 		return
 	}
+	fw.flusher.waitBegin()
 	s.P()
+	fw.flusher.waitEnd()
 	// Take transfers record ownership; the shard mutex pairing gives the
 	// happens-before that makes the lock-free reads below safe.
 	rec, ok := fw.TakeClient(um.ID)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"mrpc/internal/msg"
 	"mrpc/internal/trace"
@@ -27,6 +28,13 @@ const defaultFlushSize = 16
 // messages deliberately, up to the size cap; ForceFlush (CloseAdmission,
 // PipelineEnd) empties every queue regardless of holds so a drain-class
 // reconfiguration can never wedge behind a parked batch.
+//
+// A reply hold (holdReplies/releaseReplies) is narrower: while a delivered
+// batch frame is dispatched, replies to its sender park in that sender's
+// lane and leave as one batch frame when the dispatch ends. Only replies
+// park under it, and none while a local caller is parked on a reply
+// (waitBegin/waitEnd): any other message drains the lane at once, carrying
+// the parked replies with it.
 type Flusher struct {
 	fw  *Framework
 	net *Disseminator // the dissemination layer beneath the queues
@@ -35,13 +43,20 @@ type Flusher struct {
 	max    int // batch size cap (Config.FlushSize)
 	holds  int // open pipeline holds; >0 parks messages below the cap
 	queues map[msg.ProcID]*destQueue
+
+	// held counts the lanes under a reply hold (written under mu) and
+	// waiters the local callers parked on a reply; both are read without
+	// mu on the caller's wait path.
+	held    atomic.Int32
+	waiters atomic.Int32
 }
 
 // destQueue is one destination's pending lane.
 type destQueue struct {
-	pending []*msg.NetMsg
-	active  bool // a drainer is committed to this queue
-	forced  bool // ForceFlush wants the lane empty despite holds
+	pending    []*msg.NetMsg
+	active     bool // a drainer is committed to this queue
+	forced     bool // ForceFlush wants the lane empty despite holds
+	replyHolds int  // open batch dispatches from this destination
 }
 
 func newFlusher(fw *Framework, net *Disseminator, max int) *Flusher {
@@ -77,13 +92,35 @@ func (f *Flusher) queueOf(to msg.ProcID) *destQueue {
 	return q
 }
 
+// waits reports whether the lane's pending messages stay parked: below the
+// size cap, a pipeline hold parks anything and a reply hold parks a lane
+// holding only replies while no local caller waits for a reply. Callers
+// hold f.mu.
+func (f *Flusher) waits(q *destQueue) bool {
+	if len(q.pending) >= f.max {
+		return false
+	}
+	if f.holds > 0 {
+		return true
+	}
+	if q.replyHolds == 0 || f.waiters.Load() > 0 {
+		return false
+	}
+	for _, m := range q.pending {
+		if m.Type != msg.OpReply {
+			return false
+		}
+	}
+	return true
+}
+
 // Push implements Transport: enqueue for one destination and drain unless
-// a drainer is already committed or a pipeline hold parks the lane.
+// a drainer is already committed or a hold parks the lane.
 func (f *Flusher) Push(to msg.ProcID, m *msg.NetMsg) {
 	f.mu.Lock()
 	q := f.queueOf(to)
 	q.pending = append(q.pending, m)
-	if q.active || (f.holds > 0 && len(q.pending) < f.max) {
+	if q.active || f.waits(q) {
 		f.mu.Unlock()
 		return
 	}
@@ -137,7 +174,7 @@ func (f *Flusher) multicast(group msg.Group, m *msg.NetMsg, others bool) {
 		}
 		q := f.queueOf(to)
 		q.pending = append(q.pending, m)
-		if q.active || (f.holds > 0 && len(q.pending) < f.max) {
+		if q.active || f.waits(q) {
 			continue
 		}
 		q.active = true
@@ -157,7 +194,7 @@ type claimedLane struct {
 }
 
 // drain sends the destination's pending messages until the lane empties
-// (or a pipeline hold parks the remainder below the cap). The caller must
+// (or a hold parks the remainder below the cap). The caller must
 // have set q.active under f.mu; drain clears it before returning. Singleton
 // takes are sent as themselves — batching never costs the lone message a
 // frame — and larger takes go out as one NewBatch frame.
@@ -165,7 +202,7 @@ func (f *Flusher) drain(to msg.ProcID, q *destQueue, force bool) {
 	for {
 		f.mu.Lock()
 		n := len(q.pending)
-		if n == 0 || (!force && !q.forced && f.holds > 0 && n < f.max) {
+		if n == 0 || (!force && !q.forced && f.waits(q)) {
 			if n == 0 {
 				q.forced = false
 			}
@@ -226,7 +263,65 @@ func (f *Flusher) PipelineEnd() {
 	}
 }
 
-// ForceFlush empties every lane regardless of pipeline holds. Lanes with a
+// holdReplies opens a reply hold on to's lane for the dispatch of a batch
+// frame from to. Holds nest; pair each with releaseReplies.
+func (f *Flusher) holdReplies(to msg.ProcID) {
+	f.mu.Lock()
+	q := f.queueOf(to)
+	if q.replyHolds == 0 {
+		f.held.Add(1)
+	}
+	q.replyHolds++
+	f.mu.Unlock()
+}
+
+// releaseReplies closes a reply hold on to's lane and, once the last one is
+// gone, sends the replies parked under it.
+func (f *Flusher) releaseReplies(to msg.ProcID) {
+	f.mu.Lock()
+	q := f.queues[to]
+	q.replyHolds--
+	if q.replyHolds > 0 {
+		f.mu.Unlock()
+		return
+	}
+	f.held.Add(-1)
+	if q.active || len(q.pending) == 0 {
+		f.mu.Unlock()
+		return
+	}
+	q.active = true
+	f.mu.Unlock()
+	f.drain(to, q, false)
+}
+
+// waitBegin records a local caller parking on a reply, until waitEnd. The
+// first such caller sends every reply parked under a reply hold: the
+// caller may be a procedure of the batch being dispatched, and the reply
+// it waits for may depend on those replies reaching their client.
+func (f *Flusher) waitBegin() {
+	if f.waiters.Add(1) > 1 || f.held.Load() == 0 {
+		return
+	}
+	var claimedBuf [8]claimedLane
+	claimed := claimedBuf[:0]
+	f.mu.Lock()
+	for to, q := range f.queues {
+		if q.replyHolds > 0 && len(q.pending) > 0 && !q.active {
+			q.active = true
+			claimed = append(claimed, claimedLane{to, q})
+		}
+	}
+	f.mu.Unlock()
+	for _, c := range claimed {
+		f.drain(c.to, c.q, false)
+	}
+}
+
+// waitEnd records that a caller counted by waitBegin has its reply.
+func (f *Flusher) waitEnd() { f.waiters.Add(-1) }
+
+// ForceFlush empties every lane regardless of holds. Lanes with a
 // committed drainer are marked forced — the drainer's next loop iteration
 // takes the remainder instead of parking it — so on return every message
 // enqueued before the call is either sent or owned by a drainer that will

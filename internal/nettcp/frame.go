@@ -68,10 +68,16 @@ func readHandshake(r io.Reader) (msg.ProcID, error) {
 // writeFrame writes one length-prefixed frame into the buffered writer.
 // The caller decides when to Flush (frames written back-to-back coalesce
 // into one syscall, the socket-level analogue of the D16 batch frames).
+// The prefix is built in the writer's own buffer: a local array would
+// escape to the heap, since Write may hand its argument to the connection.
 func writeFrame(w *bufio.Writer, wire []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(wire)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if w.Available() < 4 {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(wire)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(wire)

@@ -19,7 +19,7 @@ import (
 
 // tcpBenchSystem is benchSystem over real sockets: servers and client in
 // one process, every frame through loopback TCP.
-func tcpBenchSystem(b *testing.B, cfg mrpc.Config, servers int) (*mrpc.Node, mrpc.Group, mrpc.OpID) {
+func tcpBenchSystem(b *testing.B, cfg mrpc.Config, servers int) (*mrpc.System, *mrpc.Node, mrpc.Group, mrpc.OpID) {
 	b.Helper()
 	clk := clock.NewReal()
 	sys := mrpc.NewSystem(mrpc.SystemOptions{
@@ -40,7 +40,7 @@ func tcpBenchSystem(b *testing.B, cfg mrpc.Config, servers int) (*mrpc.Node, mrp
 	if err != nil {
 		b.Fatal(err)
 	}
-	return client, sys.Group(ids...), echo
+	return sys, client, sys.Group(ids...), echo
 }
 
 // BenchmarkTCPCall is E8's composite call path over TCP loopback:
@@ -53,7 +53,7 @@ func BenchmarkTCPCall(b *testing.B) {
 		b.Run(fmt.Sprintf("g%d", g), func(b *testing.B) {
 			cfg := mrpc.ExactlyOnce()
 			cfg.RetransTimeout = 50 * time.Millisecond
-			client, group, op := tcpBenchSystem(b, cfg, g)
+			_, client, group, op := tcpBenchSystem(b, cfg, g)
 			payload := make([]byte, 64)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -65,6 +65,31 @@ func BenchmarkTCPCall(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTCPPipeline is tcp_pipe_g3's call shape as a benchmark: one
+// client, 3 exactly-once servers, one op = a round of 16 no-wait calls
+// issued in one pipeline section and then collected. frames/op counts
+// every frame the round puts on the wire, both directions: 6 when each
+// member answers its call batch with one reply batch.
+func BenchmarkTCPPipeline(b *testing.B) {
+	const window = 16
+	cfg := mrpc.ExactlyOnce()
+	cfg.Call = mrpc.CallAsynchronous
+	cfg.AcceptanceLimit = mrpc.AcceptAll
+	sys, client, group, op := tcpBenchSystem(b, cfg, 3)
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := sys.Net().Stats().Sent
+	for i := 0; i < b.N; i++ {
+		if err := runPipelined(client, op, group, payload, window); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	sys.Quiesce()
+	b.ReportMetric(float64(sys.Net().Stats().Sent-before)/float64(b.N), "frames/op")
 }
 
 // BenchmarkTCPMulticastFanout mirrors netsim's BenchmarkMulticastFanout on

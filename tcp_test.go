@@ -1,6 +1,8 @@
 package mrpc_test
 
 import (
+	"bytes"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,4 +114,65 @@ func TestSimOnlySurfacesOnTCP(t *testing.T) {
 		}
 	}()
 	sys.Network()
+}
+
+// runPipelined issues n no-wait calls of op to group inside one pipeline
+// section, then collects them; it reports the first call that does not
+// come back OK with its own payload echoed.
+func runPipelined(client *mrpc.Node, op mrpc.OpID, group mrpc.Group, args []byte, n int) error {
+	ids := make([]mrpc.CallID, n)
+	client.PipelineBegin()
+	for i := range ids {
+		id, err := client.CallAsync(op, args, group)
+		if err != nil {
+			client.PipelineEnd()
+			return err
+		}
+		ids[i] = id
+	}
+	client.PipelineEnd()
+	for i, id := range ids {
+		reply, status, err := client.Collect(id)
+		if err != nil || status != mrpc.StatusOK || !bytes.Equal(reply, args) {
+			return fmt.Errorf("call %d: status %v reply %v err %v", i, status, reply, err)
+		}
+	}
+	return nil
+}
+
+// TestPipelinedRepliesCoalesceOverTCP: over sockets, a member answers a
+// batch frame of 16 pipelined calls with one frame — the round costs one
+// call batch and one reply batch per member of a 3-member group.
+func TestPipelinedRepliesCoalesceOverTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket run in -short mode")
+	}
+	sys := tcpSystem(t)
+	reg := stub.NewRegistry()
+	echo := reg.Register("echo", func(_ *proc.Thread, args []byte) []byte { return args })
+	cfg := mrpc.ExactlyOnce()
+	cfg.Call = mrpc.CallAsynchronous
+	cfg.RetransTimeout = time.Minute     // no retransmission may add a frame
+	cfg.AcceptanceLimit = mrpc.AcceptAll // every reply frame is sent before Collect returns
+	group := sys.Group(1, 2, 3)
+	for _, id := range group {
+		if _, err := sys.AddServer(id, cfg, func() mrpc.App { return reg }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client, err := sys.AddClient(100, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := sys.Net().Stats()
+	if err := runPipelined(client, echo, group, []byte("x"), 16); err != nil {
+		t.Fatal(err)
+	}
+	sys.Quiesce()
+	after := sys.Net().Stats()
+	if sent, batches := after.Sent-before.Sent, after.Batches-before.Batches; sent != 6 || batches != 6 {
+		t.Fatalf("16 pipelined calls to 3 members sent %d frames (%d batches), want 6 batches: "+
+			"one call frame and one reply frame per member", sent, batches)
+	}
 }
