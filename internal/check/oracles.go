@@ -682,12 +682,12 @@ func replyDedupOracle() Oracle {
 
 // --- Collation: accepted-reply counts ---------------------------------------
 
-// collationCountOracle checks that a call completing OK folded at least its
-// acceptance threshold of replies (min(limit, group size)) and at most one
-// per member. Replies racing past the threshold before the completion
-// stage runs may legitimately push the count above the threshold, so only
-// the lower bound is exact. Crash and timeout runs are exempt: a failure
-// can satisfy acceptance without a reply, and timeouts complete with fewer.
+// collationCountOracle checks that a call completing OK was handed exactly
+// its acceptance threshold of folded replies (min(limit, group size)):
+// Acceptance reports a reply accepted only when it counts the folded reply
+// while the call still waits, so the count is what the caller got. Crash
+// and timeout runs are exempt: a failure can satisfy acceptance without a
+// reply, and timeouts complete with fewer.
 func collationCountOracle() Oracle {
 	const name = "collation-count"
 	return Oracle{
@@ -714,15 +714,10 @@ func collationCountOracle() Oracle {
 				if want > len(p.Group) {
 					want = len(p.Group)
 				}
-				if len(ci.accepted) < want {
+				if len(ci.accepted) != want {
 					out = append(out, violation(name,
 						"call %v completed OK with %d accepted replies (threshold %d)",
 						k, len(ci.accepted), want))
-				}
-				if len(ci.accepted) > len(p.Group) {
-					out = append(out, violation(name,
-						"call %v accepted %d replies from a group of %d",
-						k, len(ci.accepted), len(p.Group)))
 				}
 			}
 			return out

@@ -21,8 +21,10 @@ const AcceptAll = 1 << 30
 // the paper's discussion.
 //
 // Deviation D2: the micro-protocol registers two network handlers, a
-// dedupe stage before Collation and a completion stage after it, so the
-// caller is never woken before the final reply has been folded in.
+// dedupe stage before Collation and a completion stage after it. A reply
+// counts toward the threshold only in the completion stage, after its fold,
+// so the caller is never woken before every counted reply has been folded
+// in — even when replies run their stages concurrently.
 //
 // Per-call progress lives in the client records (Pending/NRes), so nothing
 // migrates across a reconfiguration — and a swap that changes Limit only
@@ -94,7 +96,8 @@ func (a *Acceptance) Attach(fw *Framework) error {
 
 	// Stage 1 (before Collation): filter replies that must not be folded —
 	// unknown calls, duplicate replies from the same server, and any reply
-	// arriving after the call already completed.
+	// arriving after the call already completed. Marking the member done
+	// stops a double fold; the reply is not counted until stage 2.
 	b.On(event.MsgFromNetwork, "Acceptance.dedupe", PrioAcceptDedupe,
 		func(o *event.Occurrence) {
 			m := o.Arg.(*NetEvent).Msg
@@ -111,36 +114,41 @@ func (a *Acceptance) Attach(fw *Framework) error {
 					return
 				}
 				e.Done = true
-				rec.NRes--
 				fold = true
 			})
 			if !fold {
 				o.Cancel()
-				return
-			}
-			if fw.Tracing() {
-				fw.Emit(trace.Event{Kind: trace.KReplyAccepted, Client: m.Client,
-					ID: m.ID, From: m.Sender})
 			}
 		})
 
-	// Stage 2 (after Collation): if the acceptance threshold has been
-	// reached, complete the call and wake the waiting client thread.
+	// Stage 2 (after Collation): count the folded reply and, once the
+	// acceptance threshold is reached, complete the call and wake the
+	// waiting client thread. Only a reply counted while the call still
+	// waits is reported accepted: that is what the caller gets.
 	b.On(event.MsgFromNetwork, "Acceptance.complete", PrioAcceptComplete,
 		func(o *event.Occurrence) {
 			m := o.Arg.(*NetEvent).Msg
 			if m.Type != msg.OpReply {
 				return
 			}
-			complete := false
+			accepted, complete := false, false
 			var s *sem.Sem
 			fw.WithClient(m.ID, func(rec *ClientRecord) {
-				complete = rec.NRes <= 0 && rec.Status == msg.StatusWaiting
+				if rec.Status != msg.StatusWaiting {
+					return
+				}
+				accepted = true
+				rec.NRes--
+				complete = rec.NRes <= 0
 				if complete {
 					rec.Status = msg.StatusOK
 					s = rec.Sem
 				}
 			})
+			if accepted && fw.Tracing() {
+				fw.Emit(trace.Event{Kind: trace.KReplyAccepted, Client: m.Client,
+					ID: m.ID, From: m.Sender})
+			}
 			if complete {
 				if fw.Tracing() {
 					fw.Emit(trace.Event{Kind: trace.KCallDone, Client: m.Client, ID: m.ID,

@@ -108,6 +108,79 @@ func TestCollationFoldsEachReplyOnce(t *testing.T) {
 	}
 }
 
+// TestAcceptanceCountsOnlyFoldedReplies pins that a reply counts toward the
+// acceptance threshold only after Collation has folded it. Server 1's reply
+// is parked after the dedupe stage, before its fold; server 2's reply then
+// runs every stage. With the count taken at dedupe, server 2's completion
+// stage would see the threshold met and wake the caller without server 1's
+// reply in the result. The fold itself runs under the call record's shard
+// lock, so the park point sits just before it, not inside the CollateFunc.
+func TestAcceptanceCountsOnlyFoldedReplies(t *testing.T) {
+	net := newMemNet()
+	net.async = true
+	group := msg.NewGroup(1, 2)
+	for _, id := range group {
+		id := id
+		addNode(t, net, id, nodeOpts{server: ServerFunc(
+			func(_ *proc.Thread, _ msg.OpID, _ []byte) []byte {
+				return []byte{byte(id)}
+			})},
+			&RPCMain{}, &SynchronousCall{}, &Acceptance{Limit: 1}, &Collation{})
+	}
+	concat := func(accum, reply []byte) []byte {
+		return append(append([]byte(nil), accum...), reply...)
+	}
+	client := addNode(t, net, 100, nodeOpts{},
+		&RPCMain{}, &SynchronousCall{}, &Acceptance{Limit: AcceptAll},
+		&Collation{Func: concat})
+
+	parked, release, done2 := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var early bool // the call completed before server 1's reply was folded
+	reply := func(o *event.Occurrence) *msg.NetMsg {
+		if m := o.Arg.(*NetEvent).Msg; m.Type == msg.OpReply {
+			return m
+		}
+		return nil
+	}
+	if err := client.bus.Register(event.MsgFromNetwork, "test.parkBeforeFold",
+		PrioAcceptDedupe+1, func(o *event.Occurrence) {
+			switch m := reply(o); {
+			case m == nil:
+			case m.Sender == 1:
+				close(parked)
+				<-release
+			case m.Sender == 2:
+				<-parked
+			}
+		}); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.bus.Register(event.MsgFromNetwork, "test.afterComplete",
+		PrioAcceptComplete+1, func(o *event.Occurrence) {
+			if m := reply(o); m != nil && m.Sender == 2 {
+				client.fw.WithClient(m.ID, func(rec *ClientRecord) {
+					early = rec.Status != msg.StatusWaiting
+				})
+				close(done2)
+			}
+		}); err != nil {
+		t.Fatal(err)
+	}
+
+	result := make(chan *msg.UserMsg, 1)
+	go func() { result <- client.fw.Call(1, nil, group) }()
+	<-done2
+	close(release)
+	um := <-result
+	net.wait()
+	if early {
+		t.Fatal("call completed before an accepted reply was folded")
+	}
+	if um.Status != msg.StatusOK || len(um.Args) != 2 {
+		t.Fatalf("status %v, collated %v; want OK with both replies", um.Status, um.Args)
+	}
+}
+
 func TestAcceptanceKStopsCollation(t *testing.T) {
 	net := newMemNet()
 	group := msg.NewGroup(1, 2, 3)

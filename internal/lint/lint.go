@@ -16,7 +16,8 @@
 //     (re-entrant dispatch) and must not call lockAll/unlockAll — directly,
 //     or through a helper one call deep.
 //   - goroutine-discipline: bare go statements outside internal/proc and
-//     internal/netsim must go through proc.Go / proc.(*Threads).Go so crash
+//     internal/transport (whose delivery workers the in-flight count
+//     tracks) must go through proc.Go / proc.(*Threads).Go so crash
 //     injection can reap the goroutine.
 //   - priority-constants: priorities passed to Bus.Register must reference
 //     named constants, not magic ints.

@@ -6,11 +6,12 @@ import (
 
 // goroutineAllowed are the packages that may use bare go statements:
 // internal/proc owns the Thread abstraction that makes goroutines reapable,
-// and internal/netsim's delivery goroutines are tracked by its own Quiesce
-// accounting. (Test files are never loaded.)
+// and internal/transport's delivery workers are tracked by the transport's
+// in-flight count (Quiesce and Stop wait on it). (Test files are never
+// loaded.)
 var goroutineAllowed = map[string]bool{
-	"mrpc/internal/proc":   true,
-	"mrpc/internal/netsim": true,
+	"mrpc/internal/proc":      true,
+	"mrpc/internal/transport": true,
 }
 
 // checkGoroutineDiscipline flags bare go statements. Goroutines spawned via

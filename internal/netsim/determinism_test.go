@@ -7,6 +7,7 @@ import (
 
 	"mrpc/internal/clock"
 	"mrpc/internal/msg"
+	"mrpc/internal/transport"
 )
 
 // These tests pin the per-directed-link fault model: every directed link
@@ -49,7 +50,7 @@ func TestLinkFaultIndependence(t *testing.T) {
 	// run sends `sent` calls 1→2; when withNoise is set it interleaves a
 	// call 1→3 after every 1→2 send. It returns link 1→2's per-message
 	// outcome and the final stats.
-	run := func(withNoise bool) (map[msg.CallID]int, Stats) {
+	run := func(withNoise bool) (map[msg.CallID]int, transport.Stats) {
 		n := New(clock.NewReal(), params)
 		defer n.Stop()
 		a, _ := attach(t, n, 1)
@@ -94,7 +95,7 @@ func TestLinkFaultIndependence(t *testing.T) {
 // partitions mid-stream: partition drops are deterministic, and messages
 // admitted after the heal continue the link's fault sequence identically.
 func TestDeterminismUnderPartition(t *testing.T) {
-	run := func() (map[msg.CallID]int, Stats) {
+	run := func() (map[msg.CallID]int, transport.Stats) {
 		n := New(clock.NewReal(), Params{Seed: 11, LossProb: 0.25, DupProb: 0.25})
 		defer n.Stop()
 		a, _ := attach(t, n, 1)
@@ -135,7 +136,7 @@ func TestDeterminismUnderPartition(t *testing.T) {
 // 1→2 must not consume randomness on — or otherwise perturb — the reverse
 // link 2→1.
 func TestDeterminismUnderOneWayPartition(t *testing.T) {
-	run := func(block bool) (map[msg.CallID]int, Stats) {
+	run := func(block bool) (map[msg.CallID]int, transport.Stats) {
 		n := New(clock.NewReal(), Params{Seed: 13, LossProb: 0.3, DupProb: 0.1})
 		defer n.Stop()
 		a, ca := attach(t, n, 1)
@@ -262,7 +263,7 @@ func slicesEqual(a, b []msg.CallID) bool {
 // clock: the set of messages that pass, the partition-drop count and the
 // cycle count are exact functions of the schedule.
 func TestFlapScheduleDeterminism(t *testing.T) {
-	run := func() (delivered map[msg.CallID]int, st Stats) {
+	run := func() (delivered map[msg.CallID]int, st transport.Stats) {
 		clk := clock.NewSim()
 		n := New(clk, Params{})
 		defer n.Stop()

@@ -14,9 +14,10 @@
 // instead of deep-cloned per member, fault rolls come from deterministic
 // per-directed-link generators derived from Params.Seed, and with
 // EncodeOnWire set the message is encoded once per send with each delivery
-// decoding from the shared immutable wire bytes. Deliveries run on pooled
-// per-endpoint workers; an arrival never waits behind another arrival's
-// blocked handler.
+// decoding from the shared immutable wire bytes. Deliveries run on the
+// pooled per-endpoint workers of transport.Inbox; an arrival never waits
+// behind another arrival's blocked handler. What is left here is the
+// simulator's own: admission, fault rolls and scheduling.
 //
 // Substitution note (DESIGN.md §2): the micro-protocols observe the network
 // only through push operations and message-arrival events, so an
@@ -66,23 +67,6 @@ type Params struct {
 	// wire bytes.
 	EncodeOnWire bool
 }
-
-// Stats counts network-level events since the network was created. It is
-// the shared transport-seam stats type; the simulator never bumps
-// Reconnects (there is no connection to lose).
-type Stats = transport.Stats
-
-// EndpointStats counts one endpoint's traffic (see transport.EndpointStats
-// for the egress/ingress accounting rules the dissemination work relies
-// on).
-type EndpointStats = transport.EndpointStats
-
-// Handler receives a delivered message. Each arrival is an independent
-// trigger: it runs on a pooled per-endpoint worker or a fresh goroutine,
-// never behind another arrival's blocked handler. The message is shared
-// with other recipients of the same send and must be treated as read-only
-// (msg.NetMsg.Mutable gives a private copy).
-type Handler = transport.Handler
 
 type link struct{ a, b msg.ProcID }
 
@@ -135,47 +119,12 @@ type Network struct {
 	links       map[dirLink]*linkState // lazily created, only for links that roll
 	stopped     bool
 
-	// In-flight delivery accounting. A WaitGroup cannot express the
-	// Quiesce contract: retransmission timers call Add concurrently with
-	// Wait at a zero counter (disallowed), and counting only at schedule
-	// time would let Quiesce return while an admitted message sits
-	// uncounted between releasing mu and scheduling. Instead each
-	// admitted destination is counted under mu, so a message is visible
-	// to a concurrent waiter before admission completes.
-	flightMu sync.Mutex
-	flightC  sync.Cond // signalled when inflight drops to zero
-	inflight int
+	// flight counts admitted deliveries; send paths add to it while
+	// holding mu, which orders the count against Quiesce.
+	flight *transport.Flight
 
-	sent, delivered, dropped, duplicated, partition, downDrops, batches atomic.Int64
-	reordered, spikes, grayDelays, flapCycles                           atomic.Int64
-}
-
-// addFlight records k admitted deliveries. Send paths call it while
-// holding n.mu, which orders the count against Quiesce.
-func (n *Network) addFlight(k int) {
-	n.flightMu.Lock()
-	n.inflight += k
-	n.flightMu.Unlock()
-}
-
-// doneFlight retires one delivery (delivered, dropped by a fault roll, or
-// discarded at a retired endpoint).
-func (n *Network) doneFlight() {
-	n.flightMu.Lock()
-	n.inflight--
-	if n.inflight == 0 {
-		n.flightC.Broadcast()
-	}
-	n.flightMu.Unlock()
-}
-
-// waitFlight blocks until no admitted delivery remains in flight.
-func (n *Network) waitFlight() {
-	n.flightMu.Lock()
-	for n.inflight > 0 {
-		n.flightC.Wait()
-	}
-	n.flightMu.Unlock()
+	sent, dropped, duplicated, partition, batches atomic.Int64
+	reordered, spikes, grayDelays, flapCycles     atomic.Int64
 }
 
 // New creates a network with the given fault model, using clk for delays.
@@ -183,7 +132,7 @@ func New(clk clock.Clock, p Params) *Network {
 	if p.MaxDelay < p.MinDelay {
 		p.MaxDelay = p.MinDelay
 	}
-	n := &Network{
+	return &Network{
 		clk:         clk,
 		params:      p,
 		eps:         make(map[msg.ProcID]*Endpoint),
@@ -193,61 +142,30 @@ func New(clk clock.Clock, p Params) *Network {
 		profiles:    make(map[dirLink]LinkProfile),
 		gray:        make(map[msg.ProcID]time.Duration),
 		links:       make(map[dirLink]*linkState),
+		flight:      transport.NewFlight(),
 	}
-	n.flightC.L = &n.flightMu
-	return n
 }
-
-// delivery is one scheduled arrival: the shared frozen message, or — with
-// EncodeOnWire — the shared wire bytes to decode at delivery time.
-type delivery struct {
-	m    *msg.NetMsg
-	wire []byte
-}
-
-// maxIdleWorkers bounds how many idle delivery workers an endpoint parks.
-// Two cover the common call/ack (or call/retransmission) bursts without
-// keeping a goroutine per historical peak alive.
-const maxIdleWorkers = 2
 
 // Endpoint is one process's attachment point; it provides the x-kernel-style
-// push operations used by the micro-protocols.
+// push operations used by the micro-protocols. Its receive side — handler,
+// up state, delivery workers — is the embedded transport.Inbox.
 type Endpoint struct {
+	*transport.Inbox
 	net *Network
 	id  msg.ProcID
 
-	mu      sync.Mutex
-	handler Handler
-	up      bool
-
-	// Delivery worker pool. The mailbox is claim-based: dispatch enqueues
-	// only after reserving a parked worker (idle is decremented first), so
-	// queue length never exceeds the workers committed to draining it and
-	// a blocked handler can never delay an unrelated arrival — a message
-	// that finds no idle worker gets a fresh goroutine.
-	wmu    sync.Mutex
-	idle   int
-	closed bool
-	mail   chan delivery
-
-	egress, ingress atomic.Int64
+	egress atomic.Int64
 }
 
 // Attach connects process id to the network with h as its delivery handler.
 // Attaching an id twice is an error.
-func (n *Network) Attach(id msg.ProcID, h Handler) (transport.Endpoint, error) {
+func (n *Network) Attach(id msg.ProcID, h transport.Handler) (transport.Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.eps[id]; ok {
 		return nil, fmt.Errorf("netsim: process %d already attached", id)
 	}
-	e := &Endpoint{
-		net:     n,
-		id:      id,
-		handler: h,
-		up:      true,
-		mail:    make(chan delivery, maxIdleWorkers),
-	}
+	e := &Endpoint{Inbox: n.flight.NewInbox(h), net: n, id: id}
 	n.eps[id] = e
 	return e, nil
 }
@@ -255,33 +173,9 @@ func (n *Network) Attach(id msg.ProcID, h Handler) (transport.Endpoint, error) {
 // ID returns the endpoint's process id.
 func (e *Endpoint) ID() msg.ProcID { return e.id }
 
-// SetHandler replaces the delivery handler (used on process recovery, when
-// a fresh composite protocol instance takes over the endpoint).
-func (e *Endpoint) SetHandler(h Handler) {
-	e.mu.Lock()
-	e.handler = h
-	e.mu.Unlock()
-}
-
-// SetUp marks the endpoint up or down. A down endpoint neither sends nor
-// receives: messages in flight toward it are dropped at delivery time,
-// modelling a crashed site.
-func (e *Endpoint) SetUp(up bool) {
-	e.mu.Lock()
-	e.up = up
-	e.mu.Unlock()
-}
-
 // Stats returns a snapshot of the endpoint's traffic counters.
-func (e *Endpoint) Stats() EndpointStats {
-	return EndpointStats{Egress: e.egress.Load(), Ingress: e.ingress.Load()}
-}
-
-// Up reports whether the endpoint is up.
-func (e *Endpoint) Up() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.up
+func (e *Endpoint) Stats() transport.EndpointStats {
+	return transport.EndpointStats{Egress: e.egress.Load(), Ingress: e.Ingress()}
 }
 
 // Push sends m to a single destination (Net.push of the paper). The message
@@ -339,14 +233,14 @@ func (n *Network) SetLinkDelay(a, b msg.ProcID, min, max time.Duration) {
 }
 
 // Stats returns a snapshot of the network counters.
-func (n *Network) Stats() Stats {
-	return Stats{
+func (n *Network) Stats() transport.Stats {
+	return transport.Stats{
 		Sent:       n.sent.Load(),
-		Delivered:  n.delivered.Load(),
+		Delivered:  n.flight.Delivered.Load(),
 		Dropped:    n.dropped.Load(),
 		Duplicated: n.duplicated.Load(),
 		Partition:  n.partition.Load(),
-		DownDrops:  n.downDrops.Load(),
+		DownDrops:  n.flight.DownDrops.Load(),
 		Batches:    n.batches.Load(),
 		Reordered:  n.reordered.Load(),
 		Spikes:     n.spikes.Load(),
@@ -360,33 +254,15 @@ func (n *Network) Stats() Stats {
 // silently discarded.
 func (n *Network) Stop() {
 	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		n.waitFlight()
-		return
-	}
 	n.stopped = true
-	eps := make([]*Endpoint, 0, len(n.eps))
-	for _, e := range n.eps {
-		eps = append(eps, e)
-	}
 	n.mu.Unlock()
-
-	n.waitFlight() // all deliveries done: no dispatch can be in flight
-	for _, e := range eps {
-		e.wmu.Lock()
-		if !e.closed {
-			e.closed = true
-			close(e.mail)
-		}
-		e.wmu.Unlock()
-	}
+	n.flight.Retire()
 }
 
 // Quiesce waits for all deliveries currently in flight to complete without
 // stopping the network. Tests use it to reach a stable state.
 func (n *Network) Quiesce() {
-	n.waitFlight()
+	n.flight.Wait()
 }
 
 // admitted is one destination that passed admission: its endpoint, the
@@ -414,7 +290,7 @@ func (n *Network) admitOne(from, to msg.ProcID) (admitted, bool) {
 	}
 	dest, ok := n.eps[to]
 	if !ok {
-		n.downDrops.Add(1)
+		n.flight.DownDrops.Add(1)
 		return admitted{}, false
 	}
 	d := n.delays[linkKey(from, to)]
@@ -445,10 +321,7 @@ func (n *Network) admitOne(from, to msg.ProcID) (admitted, bool) {
 
 // send is the single-destination path (Push).
 func (n *Network) send(from *Endpoint, to msg.ProcID, m *msg.NetMsg) {
-	from.mu.Lock()
-	senderUp := from.up
-	from.mu.Unlock()
-	if !senderUp {
+	if !from.Up() {
 		return // a crashed site sends nothing
 	}
 	m.Freeze()
@@ -466,31 +339,20 @@ func (n *Network) send(from *Endpoint, to msg.ProcID, m *msg.NetMsg) {
 	}
 	a, ok := n.admitOne(from.id, to)
 	if ok {
-		n.addFlight(1)
+		n.flight.Add(1)
 	}
 	n.mu.Unlock()
 	if !ok {
 		return
 	}
-	d := delivery{m: m}
-	if n.params.EncodeOnWire {
-		if w := m.Wire(); w != nil {
-			d = delivery{wire: w} // relayed frame: forward the shared bytes (D17)
-		} else {
-			d = delivery{wire: m.Encode()}
-		}
-	}
-	n.transmit(a, d)
+	n.transmit(a, n.onWire(m))
 }
 
 // multicast admits the whole group under one critical section of n.mu,
 // encodes at most once, then rolls per-link faults and schedules
 // deliveries outside the lock.
 func (n *Network) multicast(from *Endpoint, group msg.Group, m *msg.NetMsg) {
-	from.mu.Lock()
-	senderUp := from.up
-	from.mu.Unlock()
-	if !senderUp {
+	if !from.Up() {
 		return
 	}
 	m.Freeze()
@@ -511,23 +373,29 @@ func (n *Network) multicast(from *Endpoint, group msg.Group, m *msg.NetMsg) {
 			plan = append(plan, a)
 		}
 	}
-	n.addFlight(len(plan))
+	n.flight.Add(len(plan))
 	n.mu.Unlock()
 	if len(plan) == 0 {
 		return
 	}
 
-	d := delivery{m: m}
-	if n.params.EncodeOnWire {
-		if w := m.Wire(); w != nil {
-			d = delivery{wire: w} // relayed frame: forward the shared bytes (D17)
-		} else {
-			d = delivery{wire: m.Encode()} // encode once for the whole group
-		}
-	}
+	d := n.onWire(m) // encode once for the whole group
 	for _, a := range plan {
 		n.transmit(a, d)
 	}
+}
+
+// onWire is what every destination of one send shares: the frozen message,
+// or with EncodeOnWire its wire bytes — a relayed frame's shared bytes
+// (D17), else one fresh encoding.
+func (n *Network) onWire(m *msg.NetMsg) transport.Delivery {
+	if !n.params.EncodeOnWire {
+		return transport.Delivery{Msg: m}
+	}
+	if w := m.Wire(); w != nil {
+		return transport.Delivery{Wire: w}
+	}
+	return transport.Delivery{Wire: m.Encode()}
 }
 
 // transmit rolls the link's faults under the link lock and schedules the
@@ -535,7 +403,7 @@ func (n *Network) multicast(from *Endpoint, group msg.Group, m *msg.NetMsg) {
 // jitter, spike, storm — and lost messages consume only the loss roll, so
 // a link's pseudo-random sequence depends only on its own traffic order
 // (the determinism contract the conformance harness shrinks against).
-func (n *Network) transmit(a admitted, d delivery) {
+func (n *Network) transmit(a admitted, d transport.Delivery) {
 	copies := 1
 	first, second := a.d.min, a.d.min
 	if a.ls != nil {
@@ -585,7 +453,7 @@ func (n *Network) transmit(a admitted, d delivery) {
 	// retired here, a duplicate gains a count while the original's is
 	// still held (so the total never passes through zero mid-transmit).
 	if copies == 0 {
-		n.doneFlight()
+		n.flight.Done()
 		return
 	}
 	// Deterministic additions draw no randomness: serialization time under
@@ -601,7 +469,7 @@ func (n *Network) transmit(a admitted, d delivery) {
 		n.grayDelays.Add(1)
 	}
 	if copies == 2 {
-		n.addFlight(1)
+		n.flight.Add(1)
 	}
 	n.scheduleDelivery(a.dest, d, first)
 	if copies == 2 {
@@ -609,92 +477,14 @@ func (n *Network) transmit(a admitted, d delivery) {
 	}
 }
 
-func (n *Network) scheduleDelivery(dest *Endpoint, d delivery, delay time.Duration) {
+func (n *Network) scheduleDelivery(dest *Endpoint, d transport.Delivery, delay time.Duration) {
 	if delay <= 0 {
-		dest.dispatch(d)
+		dest.Dispatch(d)
 		return
 	}
 	n.clk.AfterFunc(delay, func() {
 		// Handlers may block (serial execution, semaphores); never run them
 		// on the clock's timer goroutine.
-		dest.dispatch(d)
+		dest.Dispatch(d)
 	})
-}
-
-// dispatch hands d to a parked worker when one is free to claim it, and
-// spawns a fresh worker goroutine otherwise. The fresh worker parks after
-// its delivery if the idle quota allows, so a busy endpoint converges to a
-// small pool that spawns nothing in steady state — while a blocked handler
-// never delays the next arrival, which simply gets its own goroutine.
-func (e *Endpoint) dispatch(d delivery) {
-	e.wmu.Lock()
-	if e.closed {
-		// Stop already retired the pool (only reachable for sends racing
-		// Stop on an already-counted delivery): drop.
-		e.wmu.Unlock()
-		e.net.doneFlight()
-		return
-	}
-	if e.idle > 0 {
-		e.idle-- // reserve the worker: the mailbox send below cannot block
-		e.wmu.Unlock()
-		e.mail <- d
-		return
-	}
-	e.wmu.Unlock()
-	// A plain `go` over a method call avoids the closure + thread-handle
-	// allocations proc.Go would add — this is the hot path of every
-	// zero-delay configuration. netsim is exempt from the
-	// goroutine-discipline rule: the network quiesces its workers through
-	// its in-flight count, and endpoint crashes are observed at delivery
-	// via `up`.
-	go e.work(d)
-}
-
-// work delivers first, then joins the endpoint's worker pool: park (up to
-// the idle quota) and drain claimed deliveries until the pool is retired.
-func (e *Endpoint) work(first delivery) {
-	d := first
-	for {
-		e.net.deliverTo(e, d)
-		e.wmu.Lock()
-		if e.closed || e.idle >= maxIdleWorkers {
-			e.wmu.Unlock()
-			return
-		}
-		e.idle++
-		e.wmu.Unlock()
-		var ok bool
-		if d, ok = <-e.mail; !ok {
-			return
-		}
-	}
-}
-
-// deliverTo hands a delivery to dest's handler on the calling goroutine,
-// decoding from the shared wire bytes first when the codec is on.
-func (n *Network) deliverTo(dest *Endpoint, d delivery) {
-	defer n.doneFlight()
-	m := d.m
-	if d.wire != nil {
-		// Args are borrowed from the shared immutable buffer, not copied;
-		// the buffer is never recycled, so retained Args stay valid (D13).
-		decoded, err := msg.DecodeShared(d.wire)
-		if err != nil {
-			// A codec failure is a bug, not a simulated fault; surface
-			// it loudly rather than silently dropping.
-			panic(fmt.Sprintf("netsim: wire codec round-trip: %v", err))
-		}
-		m = decoded
-	}
-	dest.mu.Lock()
-	h, up := dest.handler, dest.up
-	dest.mu.Unlock()
-	if !up || h == nil {
-		n.downDrops.Add(1)
-		return
-	}
-	n.delivered.Add(1)
-	dest.ingress.Add(1)
-	h(m)
 }

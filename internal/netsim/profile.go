@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"mrpc/internal/msg"
+	"mrpc/internal/transport"
 )
 
 // This file is the adversarial-profile engine (DESIGN.md D19): per-directed-
@@ -130,9 +131,9 @@ func (n *Network) StartFlap(a, b msg.ProcID, period time.Duration, cycles int) <
 // wireSize estimates the on-the-wire size of a delivery for bandwidth
 // accounting: exact when the codec is on (the shared wire bytes), the
 // codec's computed frame length otherwise.
-func wireSize(d delivery) int64 {
-	if d.wire != nil {
-		return int64(len(d.wire))
+func wireSize(d transport.Delivery) int64 {
+	if d.Wire != nil {
+		return int64(len(d.Wire))
 	}
-	return int64(d.m.EncodedLen())
+	return int64(d.Msg.EncodedLen())
 }

@@ -17,11 +17,13 @@
 // or an ephemeral loopback port when the map has none), so a single
 // Transport can host a whole group in-process over real loopback sockets —
 // the shape the cross-transport conformance tests use — or exactly one
-// endpoint per production process. Deliveries run on the same claim-based
-// worker pool as netsim: an arrival never waits behind another arrival's
-// blocked handler. All goroutines are spawned through internal/proc, and
-// time is only observed through the injected clock (which must advance in
-// real time — socket I/O does not simulate).
+// endpoint per production process. Deliveries run on transport.Inbox, the
+// claim-based worker pool netsim shares: an arrival never waits behind
+// another arrival's blocked handler. What is left here is the transport's
+// own: sockets, framing, handshakes and peer writers, whose goroutines are
+// spawned through internal/proc. Time is only observed through the
+// injected clock (which must advance in real time — socket I/O does not
+// simulate).
 package nettcp
 
 import (
@@ -103,16 +105,14 @@ type Transport struct {
 	addrs   map[msg.ProcID]string // peer map + auto-listen actual addresses
 	stopped bool
 
-	// In-flight accounting, mirroring netsim: each admitted delivery —
-	// a queued outbound frame, a decoded inbound frame, a self-delivery —
-	// is counted under mu (send side) or before dispatch (receive side)
-	// and retired when the frame leaves our hands: written to a socket,
-	// dropped, or handed to a handler that returned.
-	flightMu sync.Mutex
-	flightC  sync.Cond
-	inflight int
+	// flight counts each admitted delivery — a queued outbound frame, a
+	// decoded inbound frame, a self-delivery — under mu (send side) or
+	// before dispatch (receive side), and retires it when the frame leaves
+	// our hands: written to a socket, dropped, or handed to a handler that
+	// returned.
+	flight *transport.Flight
 
-	sent, delivered, dropped, downDrops, batches, reconnects atomic.Int64
+	sent, dropped, batches, reconnects atomic.Int64
 }
 
 // New creates a TCP transport using clk for backoff and deadline timing.
@@ -121,45 +121,22 @@ type Transport struct {
 func New(clk clock.Clock, o Options) *Transport {
 	o = o.withDefaults()
 	t := &Transport{
-		clk:   clk,
-		opts:  o,
-		eps:   make(map[msg.ProcID]*Endpoint),
-		addrs: make(map[msg.ProcID]string, len(o.Peers)),
+		clk:    clk,
+		opts:   o,
+		eps:    make(map[msg.ProcID]*Endpoint),
+		addrs:  make(map[msg.ProcID]string, len(o.Peers)),
+		flight: transport.NewFlight(),
 	}
 	for id, addr := range o.Peers {
 		t.addrs[id] = addr
 	}
-	t.flightC.L = &t.flightMu
 	return t
-}
-
-func (t *Transport) addFlight(k int) {
-	t.flightMu.Lock()
-	t.inflight += k
-	t.flightMu.Unlock()
-}
-
-func (t *Transport) doneFlight() {
-	t.flightMu.Lock()
-	t.inflight--
-	if t.inflight == 0 {
-		t.flightC.Broadcast()
-	}
-	t.flightMu.Unlock()
-}
-
-func (t *Transport) waitFlight() {
-	t.flightMu.Lock()
-	for t.inflight > 0 {
-		t.flightC.Wait()
-	}
-	t.flightMu.Unlock()
 }
 
 // dropFrame retires one admitted frame as lost.
 func (t *Transport) dropFrame() {
 	t.dropped.Add(1)
-	t.doneFlight()
+	t.flight.Done()
 }
 
 // Addr returns the address process id listens on: the peer-map entry, or
@@ -173,22 +150,14 @@ func (t *Transport) Addr(id msg.ProcID) string {
 
 // Endpoint is one process's attachment point on the TCP transport. It owns
 // a listener for inbound traffic and one lazily-created writer thread per
-// outbound peer.
+// outbound peer; its receive side is the embedded transport.Inbox. A down
+// endpoint (SetUp(false)) discards sends at the source and inbound frames
+// at delivery time, but its listener keeps accepting, so bringing the
+// endpoint back up needs no reconnect.
 type Endpoint struct {
+	*transport.Inbox
 	tr *Transport
 	id msg.ProcID
-
-	mu      sync.Mutex
-	handler transport.Handler
-	up      bool
-
-	// Delivery worker pool — the same claim-based discipline as netsim:
-	// dispatch enqueues only after reserving a parked worker, so a blocked
-	// handler never delays an unrelated arrival.
-	wmu    sync.Mutex
-	idle   int
-	closed bool
-	mail   chan *msg.NetMsg
 
 	// Outbound peer links, created on first send to each destination.
 	pmu      sync.Mutex
@@ -202,12 +171,8 @@ type Endpoint struct {
 	ln       net.Listener
 	acceptTh *proc.Thread
 
-	egress, ingress atomic.Int64
+	egress atomic.Int64
 }
-
-// maxIdleWorkers bounds how many idle delivery workers an endpoint parks
-// (same sizing rationale as netsim).
-const maxIdleWorkers = 2
 
 // Attach starts listening for process id and returns its endpoint. The
 // listen address comes from Options.Peers; absent an entry the endpoint
@@ -239,14 +204,11 @@ func (t *Transport) Attach(id msg.ProcID, h transport.Handler) (transport.Endpoi
 	}
 
 	e := &Endpoint{
-		tr:      t,
-		id:      id,
-		handler: h,
-		up:      true,
-		mail:    make(chan *msg.NetMsg, maxIdleWorkers),
-		peers:   make(map[msg.ProcID]*peer),
-		conns:   make(map[net.Conn]struct{}),
-		ln:      ln,
+		tr:    t,
+		id:    id,
+		peers: make(map[msg.ProcID]*peer),
+		conns: make(map[net.Conn]struct{}),
+		ln:    ln,
 	}
 	t.mu.Lock()
 	if t.stopped {
@@ -259,6 +221,7 @@ func (t *Transport) Attach(id msg.ProcID, h transport.Handler) (transport.Endpoi
 		ln.Close()
 		return nil, fmt.Errorf("nettcp: process %d already attached", id)
 	}
+	e.Inbox = t.flight.NewInbox(h)
 	t.eps[id] = e
 	if auto {
 		t.addrs[id] = ln.Addr().String()
@@ -272,43 +235,16 @@ func (t *Transport) Attach(id msg.ProcID, h transport.Handler) (transport.Endpoi
 // ID returns the endpoint's process id.
 func (e *Endpoint) ID() msg.ProcID { return e.id }
 
-// SetHandler replaces the delivery handler.
-func (e *Endpoint) SetHandler(h transport.Handler) {
-	e.mu.Lock()
-	e.handler = h
-	e.mu.Unlock()
-}
-
-// SetUp marks the endpoint up or down. A down endpoint neither sends nor
-// receives — sends are discarded at the source and inbound frames at
-// delivery time — but its listener keeps accepting, so bringing the
-// endpoint back up needs no reconnect.
-func (e *Endpoint) SetUp(up bool) {
-	e.mu.Lock()
-	e.up = up
-	e.mu.Unlock()
-}
-
-// Up reports whether the endpoint is up.
-func (e *Endpoint) Up() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.up
-}
-
 // Stats returns a snapshot of the endpoint's traffic counters.
 func (e *Endpoint) Stats() transport.EndpointStats {
-	return transport.EndpointStats{Egress: e.egress.Load(), Ingress: e.ingress.Load()}
+	return transport.EndpointStats{Egress: e.egress.Load(), Ingress: e.Ingress()}
 }
 
 // Push sends m to a single destination. The message is frozen and encoded
 // once; a relayed frame forwards its shared wire bytes (D17) without
 // re-encoding, exactly as the simulator does with EncodeOnWire.
 func (e *Endpoint) Push(to msg.ProcID, m *msg.NetMsg) {
-	e.mu.Lock()
-	up := e.up
-	e.mu.Unlock()
-	if !up {
+	if !e.Up() {
 		return
 	}
 	m.Freeze()
@@ -335,10 +271,7 @@ func (e *Endpoint) Push(to msg.ProcID, m *msg.NetMsg) {
 // own process when it is a member. The group is admitted under one
 // critical section and every destination shares the one wire encoding.
 func (e *Endpoint) Multicast(group msg.Group, m *msg.NetMsg) {
-	e.mu.Lock()
-	up := e.up
-	e.mu.Unlock()
-	if !up {
+	if !e.Up() {
 		return
 	}
 	m.Freeze()
@@ -369,7 +302,7 @@ func (e *Endpoint) Multicast(group msg.Group, m *msg.NetMsg) {
 		e.enqueue(to, wire)
 	}
 	if selfDeliver {
-		e.deliverSelf(wire)
+		e.Dispatch(transport.Delivery{Wire: wire})
 	}
 }
 
@@ -380,39 +313,29 @@ func (e *Endpoint) Multicast(group msg.Group, m *msg.NetMsg) {
 func (e *Endpoint) admit(to msg.ProcID) (self, known bool) {
 	t := e.tr
 	if to == e.id {
-		t.addFlight(1)
+		t.flight.Add(1)
 		return true, true
 	}
 	e.egress.Add(1)
 	if t.addrs[to] == "" {
-		t.downDrops.Add(1)
+		t.flight.DownDrops.Add(1)
 		return false, false
 	}
-	t.addFlight(1)
+	t.flight.Add(1)
 	return false, true
 }
 
-// forward settles one Push admission outside the transport lock.
+// forward settles one Push admission outside the transport lock. A send
+// to the endpoint's own process skips the socket but still round-trips the
+// codec (the inbox decodes the wire bytes), so a self-delivery observes
+// exactly what a remote would.
 func (e *Endpoint) forward(to msg.ProcID, wire []byte, self, known bool) {
 	switch {
 	case self:
-		e.deliverSelf(wire)
+		e.Dispatch(transport.Delivery{Wire: wire})
 	case known:
 		e.enqueue(to, wire)
 	}
-}
-
-// deliverSelf short-circuits a send to the endpoint's own process: no
-// socket, but the frame still round-trips the codec so a self-delivery
-// observes exactly what a remote would.
-func (e *Endpoint) deliverSelf(wire []byte) {
-	m, err := msg.DecodeShared(wire)
-	if err != nil {
-		// Our own encoding failed to decode: a codec bug, not a network
-		// fault — surface it loudly.
-		panic(fmt.Sprintf("nettcp: wire codec round-trip: %v", err))
-	}
-	e.dispatch(m)
 }
 
 // enqueue hands an admitted frame to the destination's writer thread. A
@@ -513,74 +436,18 @@ func (e *Endpoint) runReader(c net.Conn) {
 		if err != nil {
 			return
 		}
-		e.tr.addFlight(1)
-		e.dispatch(m)
+		e.tr.flight.Add(1)
+		e.Dispatch(transport.Delivery{Msg: m})
 	}
-}
-
-// dispatch hands m to a parked worker when one is free to claim it, and
-// spawns a fresh worker otherwise (netsim's claim-based pool; see its
-// dispatch for the invariants). Workers are spawned through proc.Go —
-// nettcp has no exemption from the goroutine-discipline rule.
-func (e *Endpoint) dispatch(m *msg.NetMsg) {
-	e.wmu.Lock()
-	if e.closed {
-		e.wmu.Unlock()
-		e.tr.doneFlight()
-		return
-	}
-	if e.idle > 0 {
-		e.idle-- // reserve the worker: the mailbox send below cannot block
-		e.wmu.Unlock()
-		e.mail <- m
-		return
-	}
-	e.wmu.Unlock()
-	proc.Go(func(*proc.Thread) { e.work(m) })
-}
-
-// work delivers first, then joins the endpoint's worker pool: park (up to
-// the idle quota) and drain claimed deliveries until the pool is retired.
-func (e *Endpoint) work(first *msg.NetMsg) {
-	m := first
-	for {
-		e.deliver(m)
-		e.wmu.Lock()
-		if e.closed || e.idle >= maxIdleWorkers {
-			e.wmu.Unlock()
-			return
-		}
-		e.idle++
-		e.wmu.Unlock()
-		var ok bool
-		if m, ok = <-e.mail; !ok {
-			return
-		}
-	}
-}
-
-// deliver hands m to the handler on the calling goroutine.
-func (e *Endpoint) deliver(m *msg.NetMsg) {
-	defer e.tr.doneFlight()
-	e.mu.Lock()
-	h, up := e.handler, e.up
-	e.mu.Unlock()
-	if !up || h == nil {
-		e.tr.downDrops.Add(1)
-		return
-	}
-	e.tr.delivered.Add(1)
-	e.ingress.Add(1)
-	h(m)
 }
 
 // Stats returns a snapshot of the transport counters.
 func (t *Transport) Stats() transport.Stats {
 	return transport.Stats{
 		Sent:       t.sent.Load(),
-		Delivered:  t.delivered.Load(),
+		Delivered:  t.flight.Delivered.Load(),
 		Dropped:    t.dropped.Load(),
-		DownDrops:  t.downDrops.Load(),
+		DownDrops:  t.flight.DownDrops.Load(),
 		Batches:    t.batches.Load(),
 		Reconnects: t.reconnects.Load(),
 	}
@@ -591,7 +458,7 @@ func (t *Transport) Stats() transport.Stats {
 // already written to a socket is done from this side's point of view;
 // cross-process callers poll protocol state on top (see transport.Quiesce).
 func (t *Transport) Quiesce() {
-	t.waitFlight()
+	t.flight.Wait()
 }
 
 // Stop shuts the transport down: listeners close, writer threads are
@@ -602,7 +469,7 @@ func (t *Transport) Stop() {
 	t.mu.Lock()
 	if t.stopped {
 		t.mu.Unlock()
-		t.waitFlight()
+		t.flight.Wait()
 		return
 	}
 	t.stopped = true
@@ -615,15 +482,7 @@ func (t *Transport) Stop() {
 	for _, e := range eps {
 		e.shutdownIO()
 	}
-	t.waitFlight()
-	for _, e := range eps {
-		e.wmu.Lock()
-		if !e.closed {
-			e.closed = true
-			close(e.mail)
-		}
-		e.wmu.Unlock()
-	}
+	t.flight.Retire()
 }
 
 // shutdownIO tears down an endpoint's socket machinery: the listener and

@@ -144,7 +144,7 @@ func (e *Endpoint) runPeer(p *peer, th *proc.Thread) {
 			conn, w = nil, nil
 			continue
 		}
-		t.doneFlight() // written: the frame has left our hands
+		t.flight.Done() // written: the frame has left our hands
 	}
 }
 

@@ -111,40 +111,3 @@ func (r *Recorder) Summary() string {
 		r.Percentile(99).Round(time.Microsecond),
 		r.Max().Round(time.Microsecond))
 }
-
-// Counters is a labelled set of monotonic counters, safe for concurrent
-// use.
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{m: make(map[string]int64)}
-}
-
-// Inc adds delta to the named counter.
-func (c *Counters) Inc(name string, delta int64) {
-	c.mu.Lock()
-	c.m[name] += delta
-	c.mu.Unlock()
-}
-
-// Get returns the named counter's value.
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Snapshot returns a copy of all counters.
-func (c *Counters) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
-}

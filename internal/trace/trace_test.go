@@ -98,18 +98,3 @@ func TestHandlerProfile(t *testing.T) {
 		t.Fatalf("String() = %q", s)
 	}
 }
-
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("a", 2)
-	c.Inc("a", 3)
-	c.Inc("b", 1)
-	if c.Get("a") != 5 || c.Get("b") != 1 || c.Get("missing") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	snap := c.Snapshot()
-	snap["a"] = 99
-	if c.Get("a") != 5 {
-		t.Fatal("snapshot aliases internal map")
-	}
-}
