@@ -8,11 +8,9 @@
 //	mrpcbench              run every experiment
 //	mrpcbench -e E5        run one experiment (E1..E14, E8b)
 //	mrpcbench -seed 42     change the fault-injection seed
+//	mrpcbench -open        run the open-loop smoke (see openloop.go)
 //
-// It doubles as the benchmark snapshot runner (see bench.go):
-//
-//	mrpcbench -bench pre   run the Go benchmark suite -n times interleaved,
-//	                       take medians, write BENCH_pre.json
+// The repository's benchmark is groupbench (groupbench/README.md).
 package main
 
 import (
@@ -29,47 +27,19 @@ func main() {
 		exp  = flag.String("e", "", "experiment id to run (E1..E14, E8b); empty = all")
 		seed = flag.Int64("seed", 7, "fault-injection seed")
 
-		bench     = flag.String("bench", "", "benchmark snapshot label; runs the suite and writes BENCH_<label>.json")
-		benchRe   = flag.String("benchre", "E6|E8|MulticastFanout|WireCodec", "benchmark name regex for -bench mode")
-		benchN    = flag.Int("n", 5, "interleaved whole-suite passes in -bench mode")
-		benchTime = flag.String("benchtime", "1s", "go test -benchtime value in -bench mode")
-		benchPkg  = flag.String("pkg", "./...", "package pattern benchmarked in -bench mode")
-
 		open        = flag.Bool("open", false, "run the open-loop heavy-traffic benchmark (see openloop.go)")
 		openRate    = flag.Int("rate", 20000, "open-loop arrival rate, calls/s")
 		openServers = flag.Int("servers", 3, "open-loop server group size")
 		openRuns    = flag.Int("runs", 3, "open-loop passes (median by p50 is reported)")
 		openDur     = flag.Duration("dur", 3*time.Second, "open-loop duration per pass")
-		openLabel   = flag.String("openlabel", "", "merge the open-loop median into BENCH_<label>.json")
 	)
 	flag.Parse()
 
 	if *open {
-		if err := runOpenMode(*openLabel, *openRate, *openServers, *openRuns, *openDur); err != nil {
+		if err := runOpenMode(*openRate, *openServers, *openRuns, *openDur); err != nil {
 			fmt.Fprintf(os.Stderr, "mrpcbench: %v\n", err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *bench != "" {
-		// The "tcp" label snapshots the TCP-transport benchmarks (call
-		// path, multicast fanout, framing) unless a regex was given.
-		benchReSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "benchre" {
-				benchReSet = true
-			}
-		})
-		if *bench == "tcp" && !benchReSet {
-			*benchRe = "TCP"
-		}
-		path, err := runBenchMode(*bench, *benchRe, *benchTime, *benchPkg, *benchN)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrpcbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("mrpcbench: wrote %s (medians of %d passes over -bench %q)\n", path, *benchN, *benchRe)
 		return
 	}
 

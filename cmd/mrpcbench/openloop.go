@@ -4,10 +4,8 @@ package main
 // arrival rate from a schedule that does not slow down when the system
 // does — unlike the closed-loop Go benchmarks, where a slow reply delays
 // the next arrival and hides queueing. The harness reports achieved
-// throughput and completion-latency percentiles, and with -openlabel
-// merges the medians into BENCH_<label>.json under the "open" key so the
-// batching win lands in the perf trajectory next to the closed-loop
-// numbers.
+// throughput and completion-latency percentiles; it pins no numbers (the
+// gated measurements are groupbench's).
 //
 // The client issues no-wait (asynchronous) calls; a pool of collector
 // goroutines blocks on the results. Arrival bursts within one scheduling
@@ -15,9 +13,7 @@ package main
 // traffic shape the per-destination flush queue coalesces.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -27,14 +23,11 @@ import (
 
 // openResult is one open-loop run's summary.
 type openResult struct {
-	RatePerSec   int     `json:"rate_per_sec"`
-	DurationSec  float64 `json:"duration_sec"`
-	Servers      int     `json:"servers"`
-	Issued       int     `json:"issued"`
-	Completed    int     `json:"completed"`
-	ThroughputPS float64 `json:"throughput_per_sec"`
-	P50US        float64 `json:"p50_us"`
-	P99US        float64 `json:"p99_us"`
+	Issued       int
+	Completed    int
+	ThroughputPS float64
+	P50US        float64
+	P99US        float64
 }
 
 // runOpenLoop drives one open-loop pass and returns its summary.
@@ -126,13 +119,7 @@ func runOpenLoop(rate, servers int, dur time.Duration) (openResult, error) {
 	elapsed := time.Since(start) //lint:ignore determinism wall-clock throughput is the measurement
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	res := openResult{
-		RatePerSec:  rate,
-		DurationSec: elapsed.Seconds(),
-		Servers:     servers,
-		Issued:      nIssued,
-		Completed:   len(lats),
-	}
+	res := openResult{Issued: nIssued, Completed: len(lats)}
 	if len(lats) > 0 {
 		res.ThroughputPS = float64(len(lats)) / elapsed.Seconds()
 		res.P50US = float64(lats[len(lats)/2]) / float64(time.Microsecond)
@@ -141,11 +128,9 @@ func runOpenLoop(rate, servers int, dur time.Duration) (openResult, error) {
 	return res, nil
 }
 
-// runOpenMode runs the open-loop benchmark `runs` times, takes the median
-// pass by p50 latency, prints every pass, and (with a label) merges the
-// median into BENCH_<label>.json under the "open" key, preserving the
-// closed-loop results already in the file.
-func runOpenMode(label string, rate, servers, runs int, dur time.Duration) error {
+// runOpenMode runs the open-loop benchmark `runs` times, prints every pass
+// and the median pass by p50 latency.
+func runOpenMode(rate, servers, runs int, dur time.Duration) error {
 	if runs < 1 {
 		runs = 1
 	}
@@ -163,25 +148,5 @@ func runOpenMode(label string, rate, servers, runs int, dur time.Duration) error
 	med := results[len(results)/2]
 	fmt.Printf("open median: throughput=%.0f/s p50=%.0fus p99=%.0fus\n",
 		med.ThroughputPS, med.P50US, med.P99US)
-
-	if label == "" {
-		return nil
-	}
-	path := "BENCH_" + label + ".json"
-	doc := make(map[string]any)
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	doc["open"] = med
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("mrpcbench: merged open-loop median into %s\n", path)
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"mrpc"
 	"mrpc/internal/clock"
-	"mrpc/internal/core"
 	"mrpc/internal/msg"
 	"mrpc/internal/proc"
 	"mrpc/internal/trace"
@@ -260,11 +259,11 @@ func RunOver(sc Scenario, newTransport TransportFactory) (*Result, error) {
 		}
 	}
 
-	// Settle: wait until no server holds a call and no reliable-layer
-	// (re)transmission is outstanding, so the trace contains every event a
-	// lingering delivery could still produce.
-	if err := settle(sys, sc.Servers, deadline); err != nil {
-		return nil, err
+	// Settle: wait until no node waits on a call, holds one or still
+	// (re)transmits one, so the trace contains every event a lingering
+	// delivery could still produce.
+	if err := sys.Settle(deadline); err != nil {
+		return nil, fmt.Errorf("check: %w", err)
 	}
 
 	if sc.Detector != nil {
@@ -300,67 +299,6 @@ func RunOver(sc Scenario, newTransport TransportFactory) (*Result, error) {
 		Violations: Evaluate(p, t),
 		Digest:     Digest(p, t),
 	}, nil
-}
-
-// settle polls the group until server-side call tables and the reliable
-// layer's transmission entries drain.
-func settle(sys *mrpc.System, servers int, deadline time.Time) error {
-	clk := sys.Clock()
-	for {
-		sys.Quiesce()
-		pending := 0
-		for i := 1; i <= servers; i++ {
-			n, ok := sys.Node(msg.ProcID(i))
-			if !ok || n.Down() {
-				continue
-			}
-			pending += n.Composite().Framework().PendingServerCalls()
-		}
-		if rc, ok := outstandingOf(sys, servers); ok {
-			pending += rc
-		}
-		if pending == 0 {
-			return nil
-		}
-		if clk.Now().After(deadline) {
-			detail := ""
-			for i := 1; i <= servers; i++ {
-				n, ok := sys.Node(msg.ProcID(i))
-				if !ok || n.Down() {
-					continue
-				}
-				if held := n.Composite().Framework().PendingServerCalls(); held > 0 {
-					detail += fmt.Sprintf(" node%d:held=%d", i, held)
-				}
-			}
-			if rc, ok := outstandingOf(sys, servers); ok && rc > 0 {
-				detail += fmt.Sprintf(" retrans=%d", rc)
-			}
-			return fmt.Errorf("check: settle timed out with %d pending%s", pending, detail)
-		}
-		clk.Sleep(time.Millisecond)
-	}
-}
-
-// outstandingOf sums ReliableCommunication.Outstanding over every up node.
-func outstandingOf(sys *mrpc.System, servers int) (int, bool) {
-	total := 0
-	found := false
-	for id := msg.ProcID(1); int(id) <= servers+1; id++ {
-		probe := id
-		if int(id) == servers+1 {
-			probe = ClientID
-		}
-		n, ok := sys.Node(probe)
-		if !ok || n.Down() {
-			continue
-		}
-		if rc, ok := n.Composite().Protocol("Reliable Communication").(*core.ReliableCommunication); ok {
-			total += rc.Outstanding()
-			found = true
-		}
-	}
-	return total, found
 }
 
 // workerHandle tracks one call batch running on its own thread.

@@ -72,32 +72,10 @@ var (
 		"config: transition changes atomic-execution parameters on a live node; the checkpoint chain's shape is fixed per incarnation (restart the node instead)")
 )
 
-func normRetrans(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 20 * time.Millisecond
-	}
-	return d
-}
-
-func normBound(d time.Duration) time.Duration {
-	if d <= 0 {
-		return time.Second
-	}
-	return d
-}
-
-func normMisses(n int) int {
-	if n <= 0 {
-		return 3
-	}
-	return n
-}
-
-func normCompact(n int) int {
-	if n <= 0 {
-		return 16
-	}
-	return n
+// differs reports whether two settings of a parameter whose unset value
+// means def differ once normalised as the micro-protocol normalises them.
+func differs[T int | time.Duration](a, b, def T) bool {
+	return core.OrDefault(a, def) != core.OrDefault(b, def)
 }
 
 func collatePtr(f core.CollateFunc) uintptr {
@@ -125,7 +103,7 @@ func PlanTransition(from, to Config) (Transition, error) {
 	}
 	if from.Execution == ExecAtomic &&
 		(from.AtomicDeltas != to.AtomicDeltas ||
-			normCompact(from.AtomicCompactEvery) != normCompact(to.AtomicCompactEvery)) {
+			differs(from.AtomicCompactEvery, to.AtomicCompactEvery, core.DefaultCompactEvery)) {
 		return Transition{}, ErrTransitionAtomicParams
 	}
 
@@ -144,13 +122,13 @@ func PlanTransition(from, to Config) (Transition, error) {
 		changed("call", TransitionDrain)
 	}
 	if from.Reliable != to.Reliable ||
-		(to.Reliable && normRetrans(from.RetransTimeout) != normRetrans(to.RetransTimeout)) {
+		(to.Reliable && differs(from.RetransTimeout, to.RetransTimeout, core.DefaultRetransTimeout)) {
 		// Retransmission state is per in-flight call; the same-set
 		// property the ordering protocols rely on must not see a gap.
 		changed("reliable", TransitionDrain)
 	}
 	if from.Bounded != to.Bounded ||
-		(to.Bounded && normBound(from.TimeBound) != normBound(to.TimeBound)) {
+		(to.Bounded && differs(from.TimeBound, to.TimeBound, core.DefaultTimeBound)) {
 		// A call's deadline is promised at admission.
 		changed("bounded", TransitionDrain)
 	}
@@ -178,7 +156,7 @@ func PlanTransition(from, to Config) (Transition, error) {
 	if from.Orphan != to.Orphan ||
 		(to.Orphan == OrphanTerminate &&
 			(from.OrphanProbeInterval != to.OrphanProbeInterval ||
-				normMisses(from.OrphanProbeMisses) != normMisses(to.OrphanProbeMisses))) {
+				differs(from.OrphanProbeMisses, to.OrphanProbeMisses, core.DefaultProbeMisses))) {
 		changed("orphan", TransitionLive)
 	}
 	if from.AcceptanceLimit != to.AcceptanceLimit {
@@ -188,19 +166,12 @@ func PlanTransition(from, to Config) (Transition, error) {
 		string(from.CollateInit) != string(to.CollateInit) {
 		changed("collation", TransitionLive)
 	}
-	if normFlush(from.FlushSize) != normFlush(to.FlushSize) {
+	if differs(from.FlushSize, to.FlushSize, core.DefaultFlushSize) {
 		// Batch size only shapes framing of future sends; in-flight batches
 		// drain under whichever cap they were queued with.
 		changed("flush", TransitionLive)
 	}
 	return t, nil
-}
-
-func normFlush(n int) int {
-	if n <= 0 {
-		return 16
-	}
-	return n
 }
 
 // TransitionMatrix summarizes PlanTransition over every ordered pair of the

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mrpc/internal/core"
 )
 
 func TestTransitionIdentityIsLive(t *testing.T) {
@@ -106,6 +108,47 @@ func TestTransitionClassification(t *testing.T) {
 	}
 	if len(plan.Changed) != 0 {
 		t.Fatalf("normalized retrans: changed=%v", plan.Changed)
+	}
+}
+
+// TestTransitionUnsetIsCoreDefault: the planner reads an unset parameter
+// as the default the running micro-protocol applies, so moving from unset
+// to that default changes nothing and moving past it does.
+func TestTransitionUnsetIsCoreDefault(t *testing.T) {
+	base := ExactlyOncePreset()
+	base.Bounded = true
+	base.Orphan = OrphanTerminate
+	base.OrphanProbeInterval = 10 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		set  func(c *Config, scale int)
+	}{
+		{"reliable", func(c *Config, k int) { c.RetransTimeout = time.Duration(k) * core.DefaultRetransTimeout }},
+		{"bounded", func(c *Config, k int) { c.TimeBound = time.Duration(k) * core.DefaultTimeBound }},
+		{"orphan", func(c *Config, k int) { c.OrphanProbeMisses = k * core.DefaultProbeMisses }},
+		{"flush", func(c *Config, k int) { c.FlushSize = k * core.DefaultFlushSize }},
+	} {
+		from, same, other := base, base, base
+		tc.set(&from, 0)
+		tc.set(&same, 1)
+		tc.set(&other, 2)
+		if plan, err := PlanTransition(from, same); err != nil || len(plan.Changed) != 0 {
+			t.Fatalf("%s: unset -> default: changed=%v err=%v, want no change", tc.name, plan.Changed, err)
+		}
+		if plan, err := PlanTransition(from, other); err != nil || len(plan.Changed) != 1 || plan.Changed[0] != tc.name {
+			t.Fatalf("%s: unset -> twice the default: changed=%v err=%v", tc.name, plan.Changed, err)
+		}
+	}
+
+	atomic := AtMostOncePreset()
+	same := atomic
+	same.AtomicCompactEvery = core.DefaultCompactEvery
+	if _, err := PlanTransition(atomic, same); err != nil {
+		t.Fatalf("atomic: unset -> default compaction: %v", err)
+	}
+	same.AtomicCompactEvery *= 2
+	if _, err := PlanTransition(atomic, same); !errors.Is(err, ErrTransitionAtomicParams) {
+		t.Fatalf("atomic: unset -> twice the default compaction: err=%v, want ErrTransitionAtomicParams", err)
 	}
 }
 

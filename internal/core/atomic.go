@@ -72,10 +72,7 @@ var _ MicroProtocol = (*AtomicExecution)(nil)
 func (*AtomicExecution) Name() string { return "Atomic Execution" }
 
 func (a *AtomicExecution) compactEvery() int {
-	if a.CompactEvery <= 0 {
-		return 16
-	}
-	return a.CompactEvery
+	return OrDefault(a.CompactEvery, DefaultCompactEvery)
 }
 
 func (a *AtomicExecution) spec() any {

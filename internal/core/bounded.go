@@ -33,10 +33,7 @@ var _ Stateful = (*BoundedTermination)(nil)
 func (*BoundedTermination) Name() string { return "Bounded Termination" }
 
 func (bt *BoundedTermination) bound() time.Duration {
-	if bt.TimeBound <= 0 {
-		return time.Second
-	}
-	return bt.TimeBound
+	return OrDefault(bt.TimeBound, DefaultTimeBound)
 }
 
 func (bt *BoundedTermination) spec() any {

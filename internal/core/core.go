@@ -287,15 +287,12 @@ type Framework struct {
 	// mid-flight.
 	dispatchMu sync.RWMutex
 
-	// Admission gate: Reconfigure closes it to stop admitting NEW_RPC_CALL
-	// while draining. admitActive counts callers between gate entry and the
-	// end of their CALL_FROM_USER dispatch, so CloseAdmission can wait out
-	// stragglers that passed the gate but have not yet created their call
-	// record.
-	admitMu     sync.Mutex
-	admitCond   *sync.Cond
-	admitClosed bool
-	admitActive int
+	// admit is the admission gate: Reconfigure closes it to stop admitting
+	// NEW_RPC_CALL while draining. A caller holds it shared from gate entry
+	// to the end of its CALL_FROM_USER dispatch; CloseAdmission holds it
+	// exclusively until OpenAdmission, so taking it waits out stragglers
+	// that passed the gate but have not yet created their call record.
+	admit sync.RWMutex
 
 	// executedQuery, installed by Unique Execution, reports whether a call
 	// key has already been executed here; a freshly attached ordering
@@ -358,7 +355,6 @@ func NewFramework(opts Options) (*Framework, error) {
 	fw.servers.init()
 	fw.lw.init()
 	fw.inc.Store(int32(opts.Site.Inc()))
-	fw.admitCond = sync.NewCond(&fw.admitMu)
 	// Timer firings must participate in the reconfiguration barrier; the
 	// gate is installed before any micro-protocol can arm a timeout.
 	fw.bus.SetDispatchGate(func() func() {
@@ -874,16 +870,11 @@ func (fw *Framework) executeCall(key msg.CallKey) {
 // after CloseAdmission returns, the set of pending client calls is exactly
 // what WaitingClientCalls sees — nothing is about to appear. Batch frames
 // parked in the flush queue (an open pipeline racing the reconfiguration)
-// are force-flushed last: their calls already have records — the admission
-// count stays sound mid-batch — but the drain barrier needs them on the
-// wire, not wedged in a lane.
+// are force-flushed last: their calls already have records, but the drain
+// barrier needs them on the wire, not wedged in a lane. The gate stays
+// closed until OpenAdmission.
 func (fw *Framework) CloseAdmission() {
-	fw.admitMu.Lock()
-	fw.admitClosed = true
-	for fw.admitActive > 0 {
-		fw.admitCond.Wait()
-	}
-	fw.admitMu.Unlock()
+	fw.admit.Lock()
 	fw.flusher.ForceFlush()
 }
 
@@ -915,33 +906,10 @@ func (fw *Framework) SetTreeFanout(k int) { fw.dissem.SetFanout(k) }
 // TreeFanout returns the current dissemination fanout (0 = flat).
 func (fw *Framework) TreeFanout() int { return fw.dissem.Fanout() }
 
-// OpenAdmission reopens the admission gate, waking blocked callers.
-func (fw *Framework) OpenAdmission() {
-	fw.admitMu.Lock()
-	fw.admitClosed = false
-	fw.admitCond.Broadcast()
-	fw.admitMu.Unlock()
-}
-
-// admitEnter blocks while the admission gate is closed, then counts the
-// caller as active until admitExit.
-func (fw *Framework) admitEnter() {
-	fw.admitMu.Lock()
-	for fw.admitClosed {
-		fw.admitCond.Wait()
-	}
-	fw.admitActive++
-	fw.admitMu.Unlock()
-}
-
-func (fw *Framework) admitExit() {
-	fw.admitMu.Lock()
-	fw.admitActive--
-	if fw.admitActive == 0 {
-		fw.admitCond.Broadcast()
-	}
-	fw.admitMu.Unlock()
-}
+// OpenAdmission reopens the admission gate CloseAdmission closed, waking
+// blocked callers. Each CloseAdmission is paired with exactly one
+// OpenAdmission.
+func (fw *Framework) OpenAdmission() { fw.admit.Unlock() }
 
 // WaitingClientCalls returns the number of pending client calls still
 // waiting for completion. Completed-but-uncollected asynchronous records do
@@ -1084,11 +1052,11 @@ func (fw *Framework) handleOne(m *msg.NetMsg) {
 func (fw *Framework) Call(op msg.OpID, args []byte, group msg.Group) *msg.UserMsg {
 	um := getUserMsg()
 	um.Type, um.Op, um.Args, um.Server = msg.UserCall, op, args, group
-	fw.admitEnter()
+	fw.admit.RLock()
 	fw.dispatchMu.RLock()
 	fw.bus.Trigger(event.CallFromUser, um)
 	fw.dispatchMu.RUnlock()
-	fw.admitExit()
+	fw.admit.RUnlock()
 	fw.CollectUserMsg(um)
 	return um
 }
@@ -1098,10 +1066,10 @@ func (fw *Framework) Call(op msg.OpID, args []byte, group msg.Group) *msg.UserMs
 // the gate a drain-class swap cannot complete, so the node's call-mode
 // configuration is stable — the facade uses this to make its mode check
 // atomic with the submission. Pair with AdmitExit; do not block in between.
-func (fw *Framework) AdmitEnter() { fw.admitEnter() }
+func (fw *Framework) AdmitEnter() { fw.admit.RLock() }
 
 // AdmitExit releases AdmitEnter's hold on the admission gate.
-func (fw *Framework) AdmitExit() { fw.admitExit() }
+func (fw *Framework) AdmitExit() { fw.admit.RUnlock() }
 
 // CallAdmitted is Call for a caller that already holds the admission gate
 // via AdmitEnter. It dispatches the call but does not run the Collect
@@ -1182,10 +1150,6 @@ func (fw *Framework) Close() {
 	}
 	fw.closed = true
 	fw.cmu.Unlock()
-
-	// Wake callers blocked at the admission gate (a Reconfigure interrupted
-	// by shutdown must not strand them).
-	fw.OpenAdmission()
 
 	if fw.unsubscribe != nil {
 		fw.unsubscribe()

@@ -8,10 +8,6 @@ import (
 	"mrpc/internal/trace"
 )
 
-// defaultFlushSize caps how many messages one batch frame carries when the
-// configuration does not say otherwise.
-const defaultFlushSize = 16
-
 // Flusher is the per-destination flush queue between the micro-protocols
 // and the transport (deviation D16). Every outbound message — call
 // multicasts, retransmissions, acks, replies, ordering traffic — passes
@@ -60,24 +56,18 @@ type destQueue struct {
 }
 
 func newFlusher(fw *Framework, net *Disseminator, max int) *Flusher {
-	if max <= 0 {
-		max = defaultFlushSize
-	}
 	return &Flusher{
 		fw:     fw,
 		net:    net,
-		max:    max,
+		max:    OrDefault(max, DefaultFlushSize),
 		queues: make(map[msg.ProcID]*destQueue),
 	}
 }
 
 // SetMax changes the batch size cap (live reconfiguration).
 func (f *Flusher) SetMax(max int) {
-	if max <= 0 {
-		max = defaultFlushSize
-	}
 	f.mu.Lock()
-	f.max = max
+	f.max = OrDefault(max, DefaultFlushSize)
 	f.mu.Unlock()
 }
 

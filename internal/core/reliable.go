@@ -113,15 +113,7 @@ type relState struct {
 func (*ReliableCommunication) Name() string { return "Reliable Communication" }
 
 func (r *ReliableCommunication) params() (time.Duration, int) {
-	t := r.RetransTimeout
-	if t <= 0 {
-		t = 20 * time.Millisecond
-	}
-	n := r.LingerRounds
-	if n <= 0 {
-		n = 128
-	}
-	return t, n
+	return OrDefault(r.RetransTimeout, DefaultRetransTimeout), OrDefault(r.LingerRounds, 128)
 }
 
 func (r *ReliableCommunication) spec() any {

@@ -56,11 +56,7 @@ type toEntry struct {
 func (*TerminateOrphan) Name() string { return "Terminate Orphan" }
 
 func (to *TerminateOrphan) params() (time.Duration, int) {
-	misses := to.ProbeMisses
-	if misses <= 0 {
-		misses = 3
-	}
-	return to.ProbeInterval, misses
+	return to.ProbeInterval, OrDefault(to.ProbeMisses, DefaultProbeMisses)
 }
 
 func (to *TerminateOrphan) spec() any {

@@ -51,6 +51,7 @@ package mrpc
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -396,16 +397,22 @@ func (s *System) Quiesce() { s.net.Quiesce() }
 
 // Stop shuts down every node and the network.
 func (s *System) Stop() {
+	for _, n := range s.sortedNodes() {
+		n.shutdown()
+	}
+	s.net.Stop()
+}
+
+// sortedNodes returns every node of the system in id order.
+func (s *System) sortedNodes() []*Node {
 	s.mu.Lock()
 	nodes := make([]*Node, 0, len(s.nodes))
 	for _, n := range s.nodes {
 		nodes = append(nodes, n)
 	}
 	s.mu.Unlock()
-	for _, n := range nodes {
-		n.shutdown()
-	}
-	s.net.Stop()
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
+	return nodes
 }
 
 // Reconfigure hot-swaps every node in the system to newCfg, coordinating
@@ -421,17 +428,118 @@ func (s *System) Reconfigure(newCfg Config) error {
 	if err := newCfg.Validate(); err != nil {
 		return err
 	}
+	return s.reconfigure(s.sortedNodes(), newCfg, 0)
+}
 
-	s.mu.Lock()
-	nodes := make([]*Node, 0, len(s.nodes))
-	for _, n := range s.nodes {
-		nodes = append(nodes, n)
+// Settle waits, up to deadline, until every up node has no waiting client
+// call, no server record and no outstanding Reliable Communication entry,
+// with no delivery in flight — the drain Reconfigure waits for, without
+// closing admission. Its timeout error names each node still busy. It
+// serializes against Crash, Recover and Reconfigure.
+func (s *System) Settle(deadline time.Time) error {
+	nodes := s.sortedNodes()
+	for _, n := range nodes {
+		n.lifeMu.Lock()
 	}
-	s.mu.Unlock()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
+	defer func() {
+		for i := len(nodes) - 1; i >= 0; i-- {
+			nodes[i].lifeMu.Unlock()
+		}
+	}()
+	var ups []drainee
+	for _, n := range nodes {
+		n.mu.Lock()
+		if !n.down {
+			ups = append(ups, drainee{n: n, comp: n.comp})
+		}
+		n.mu.Unlock()
+	}
+	if busy := s.settle(ups, deadline); busy != "" {
+		return fmt.Errorf("mrpc: settle timed out: %s", busy)
+	}
+	return nil
+}
 
+// drainee is one up node a reconfiguration or Settle waits on, with the
+// composite it runs and, for a reconfiguration, the protocols it swaps in.
+type drainee struct {
+	n      *Node
+	comp   *core.Composite
+	protos []core.MicroProtocol
+}
+
+// busy describes what d still has in flight — its waiting client calls,
+// held server records and outstanding Reliable Communication entries — or
+// returns "" when it has none.
+func (d drainee) busy() string {
+	fw := d.comp.Framework()
+	waiting, held, retrans := fw.WaitingClientCalls(), fw.PendingServerCalls(), 0
+	if rc, ok := d.comp.Protocol("Reliable Communication").(*core.ReliableCommunication); ok {
+		retrans = rc.Outstanding()
+	}
+	if waiting+held+retrans == 0 {
+		return ""
+	}
+	return fmt.Sprintf("node%d: waiting=%d held=%d retrans=%d", d.n.id, waiting, held, retrans)
+}
+
+// settle is the one drain loop. Each millisecond it reads every drainee's
+// counts; once all read zero it waits for the network's in-flight
+// deliveries and reads them again, and returns "" if they still read zero.
+// At the deadline it returns the busy drainees instead. The network is
+// quiesced only on a clean read: a delivery runs its procedure inline, so
+// quiescing while a procedure waits at a closed admission gate (a
+// synchronous call through its own draining node) would never return;
+// while that procedure runs its server record keeps the read dirty, and
+// the loop times out instead.
+func (s *System) settle(ds []drainee, deadline time.Time) string {
+	for {
+		busy := busyOf(ds)
+		if busy == "" {
+			s.net.Quiesce()
+			if busy = busyOf(ds); busy == "" {
+				return ""
+			}
+		}
+		if !s.clk.Now().Before(deadline) {
+			return busy
+		}
+		s.clk.Sleep(time.Millisecond)
+	}
+}
+
+// busyOf joins the busy descriptions of ds.
+func busyOf(ds []drainee) string {
+	var busy []string
+	for _, d := range ds {
+		if b := d.busy(); b != "" {
+			busy = append(busy, b)
+		}
+	}
+	return strings.Join(busy, ", ")
+}
+
+// reconfigure is the one reconfiguration path, for the whole system
+// (site 0) or for the single node site. With nodes in id order it:
+//
+//  1. plans and builds newCfg for every up node; an illegal transition or
+//     a build failure rejects the reconfiguration before anything changes;
+//  2. if any transition is drain-class, closes admission on every up node;
+//  3. settles: every up node's client calls complete, its server records
+//     and Reliable entries drain, and the network goes quiet — so no
+//     old-regime call can surface at a member for the first time after the
+//     swap, where a new ordering leader would sequence it even though other
+//     members already executed it; a timeout reopens admission and fails;
+//  4. swaps every up node;
+//  5. sets the flush cap and tree fanout, while no call can be admitted
+//     under the old fanout;
+//  6. reopens admission and publishes newCfg on every node (down ones
+//     included, for Recover).
+//
+// A down node is an error for a single-node reconfiguration.
+func (s *System) reconfigure(nodes []*Node, newCfg Config, site ProcID) error {
 	// Serialize against every per-node lifecycle operation (Crash, Recover,
-	// per-node Reconfigure), acquiring in id order to stay deadlock-free.
+	// Reconfigure, Settle), acquiring in id order to stay deadlock-free.
 	for _, n := range nodes {
 		n.lifeMu.Lock()
 	}
@@ -441,102 +549,54 @@ func (s *System) Reconfigure(newCfg Config) error {
 		}
 	}()
 
-	// Phase 1: plan and build. Any illegal transition or build failure
-	// rejects the reconfiguration before any node is touched.
-	type target struct {
-		n      *Node
-		comp   *core.Composite
-		protos []core.MicroProtocol
-	}
-	var ups []target
-	anyDrain := false
+	var ups []drainee
+	drain := false
 	for _, n := range nodes {
 		n.mu.Lock()
 		comp, app, down, oldCfg := n.comp, n.app, n.down, n.cfg
 		n.mu.Unlock()
 		if down {
+			if site != 0 {
+				return fmt.Errorf("mrpc: node %d is down", n.id)
+			}
 			continue
 		}
 		plan, err := config.PlanTransition(oldCfg, newCfg)
 		if err != nil {
 			return fmt.Errorf("mrpc: node %d: %w", n.id, err)
 		}
-		if plan.Class == config.TransitionDrain {
-			anyDrain = true
-		}
+		drain = drain || plan.Class == config.TransitionDrain
 		protos, err := n.buildProtocols(newCfg, app)
 		if err != nil {
 			return err
 		}
-		ups = append(ups, target{n: n, comp: comp, protos: protos})
+		ups = append(ups, drainee{n: n, comp: comp, protos: protos})
 	}
 
-	// Phase 2: drain-class quiesce, all of it a hard requirement (a timeout
-	// reopens admission and fails the reconfiguration). Client calls must
-	// complete everywhere; then the group settles: no in-flight deliveries,
-	// no held server records, and no outstanding (re)transmissions. The
-	// last condition is what makes the swap sound: once Reliable
-	// Communication has settled, every member has received every pre-swap
-	// call, so no old-regime call can surface at a member for the first
-	// time after the swap — where a new ordering leader would sequence it
-	// even though other members already executed it, stalling their entry
-	// sequence forever.
-	if anyDrain {
+	if drain {
+		for _, d := range ups {
+			d.comp.Framework().CloseAdmission()
+		}
+		defer func() {
+			for _, d := range ups {
+				d.comp.Framework().OpenAdmission()
+			}
+		}()
 		deadline := s.clk.Now().Add(s.opts.ReconfigureTimeout)
-		for _, t := range ups {
-			t.comp.Framework().CloseAdmission()
-		}
-		reopen := func() {
-			for _, t := range ups {
-				t.comp.Framework().OpenAdmission()
-			}
-		}
-		for _, t := range ups {
-			if err := t.n.drainClientCalls(t.comp.Framework(), deadline); err != nil {
-				reopen()
-				return err
-			}
-		}
-		s.net.Quiesce()
-		for {
-			settled := true
-			for _, t := range ups {
-				if t.comp.Framework().PendingServerCalls() > 0 || relOutstanding(t.comp) > 0 {
-					settled = false
-					break
-				}
-			}
-			if settled {
-				break
-			}
-			if !s.clk.Now().Before(deadline) {
-				reopen()
-				return fmt.Errorf("mrpc: reconfigure drain timed out waiting for the group to settle")
-			}
-			s.clk.Sleep(time.Millisecond)
-			s.net.Quiesce()
+		if busy := s.settle(ups, deadline); busy != "" {
+			return fmt.Errorf("mrpc: reconfigure drain timed out: %s", busy)
 		}
 	}
 
-	// Phase 3: swap every up node, reopen admission, publish the new
-	// configuration on every node (down ones included, for Recover).
-	var firstErr error
-	for _, t := range ups {
-		if err := t.comp.Swap(t.protos); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("mrpc: node %d: %w", t.n.id, err)
+	for _, d := range ups {
+		if err := d.comp.Swap(d.protos); err != nil {
+			return fmt.Errorf("mrpc: node %d: %w", d.n.id, err)
 		}
 	}
-	if anyDrain {
-		for _, t := range ups {
-			t.comp.Framework().OpenAdmission()
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	for _, t := range ups {
-		t.comp.Framework().SetFlushSize(newCfg.FlushSize)
-		t.comp.Framework().SetTreeFanout(newCfg.EffectiveFanout())
+	for _, d := range ups {
+		fw := d.comp.Framework()
+		fw.SetFlushSize(newCfg.FlushSize)
+		fw.SetTreeFanout(newCfg.EffectiveFanout())
 	}
 	var oldCfg Config
 	for i, n := range nodes {
@@ -548,7 +608,7 @@ func (s *System) Reconfigure(newCfg Config) error {
 		n.mu.Unlock()
 	}
 	if sink := s.opts.Trace; sink != nil {
-		sink.Record(TraceEvent{Kind: trace.KReconfigure,
+		sink.Record(TraceEvent{Kind: trace.KReconfigure, Site: site,
 			Note: fmt.Sprintf("%s -> %s", oldCfg, newCfg)})
 	}
 	return nil
@@ -938,99 +998,15 @@ func (n *Node) Recover() error {
 // is validated and classified first (config.PlanTransition): live-class
 // transitions swap under the dispatch barrier alone; drain-class transitions
 // first stop admitting new calls and wait — up to
-// SystemOptions.ReconfigureTimeout — for the node's in-flight client calls
-// to complete (dispatch keeps running during the wait, so replies and
-// retransmissions flow). Illegal transitions (atomicity changes) are
-// rejected with a diagnosable error before the node is touched. For a
-// group-wide change prefer System.Reconfigure, which quiesces all nodes
-// together. See DESIGN.md deviation D14.
+// SystemOptions.ReconfigureTimeout — for the node's in-flight client calls,
+// server records and retransmissions to drain (dispatch keeps running during
+// the wait, so replies and retransmissions flow). Illegal transitions
+// (atomicity changes) are rejected with a diagnosable error before the node
+// is touched. It runs the same path as System.Reconfigure, over this node
+// alone; for a group-wide change prefer System.Reconfigure, which quiesces
+// all nodes together. See DESIGN.md deviation D14.
 func (n *Node) Reconfigure(newCfg Config) error {
-	n.lifeMu.Lock()
-	defer n.lifeMu.Unlock()
-
-	n.mu.Lock()
-	comp, app, down, oldCfg := n.comp, n.app, n.down, n.cfg
-	n.mu.Unlock()
-	if down {
-		return fmt.Errorf("mrpc: node %d is down", n.id)
-	}
-
-	plan, err := config.PlanTransition(oldCfg, newCfg)
-	if err != nil {
-		return fmt.Errorf("mrpc: node %d: %w", n.id, err)
-	}
-	protos, err := n.buildProtocols(newCfg, app)
-	if err != nil {
-		return err
-	}
-
-	fw := comp.Framework()
-	drain := plan.Class == config.TransitionDrain
-	if drain {
-		deadline := n.sys.clk.Now().Add(n.sys.opts.ReconfigureTimeout)
-		fw.CloseAdmission()
-		if err := n.drainClientCalls(fw, deadline); err != nil {
-			fw.OpenAdmission()
-			return err
-		}
-		// Completed calls may still be retransmitting to members that have
-		// not acknowledged receipt (the same-set property). Swapping those
-		// entries away would strand the laggards, so wait them out too.
-		for relOutstanding(comp) > 0 {
-			if n.sys.clk.Now().After(deadline) {
-				fw.OpenAdmission()
-				return fmt.Errorf("mrpc: node %d: reconfigure drain timed out with outstanding retransmissions", n.id)
-			}
-			n.sys.clk.Sleep(time.Millisecond)
-		}
-	}
-	err = comp.Swap(protos)
-	if drain {
-		fw.OpenAdmission()
-	}
-	if err != nil {
-		return fmt.Errorf("mrpc: node %d: %w", n.id, err)
-	}
-	fw.SetFlushSize(newCfg.FlushSize)
-	fw.SetTreeFanout(newCfg.EffectiveFanout())
-
-	n.mu.Lock()
-	n.cfg = newCfg
-	n.mu.Unlock()
-	if sink := n.sys.opts.Trace; sink != nil {
-		sink.Record(TraceEvent{Kind: trace.KReconfigure, Site: n.id,
-			Note: fmt.Sprintf("%s -> %s", oldCfg, newCfg)})
-	}
-	return nil
-}
-
-// relOutstanding returns the composite's count of calls still being
-// (re)transmitted by Reliable Communication, or zero when the protocol is
-// not configured.
-func relOutstanding(comp *core.Composite) int {
-	if rc, ok := comp.Protocol("Reliable Communication").(*core.ReliableCommunication); ok {
-		return rc.Outstanding()
-	}
-	return 0
-}
-
-// drainClientCalls polls until the node has no in-flight client calls or the
-// deadline passes. Only admission is blocked during the wait; dispatch
-// (replies, retransmissions, timer events) keeps running, which is what lets
-// the in-flight calls finish.
-func (n *Node) drainClientCalls(fw *core.Framework, deadline time.Time) error {
-	clk := n.sys.clk
-	for {
-		waiting := fw.WaitingClientCalls()
-		if waiting == 0 {
-			return nil
-		}
-		if clk.Now().After(deadline) {
-			return fmt.Errorf("mrpc: node %d: reconfigure drain timed out with %d in-flight calls",
-				n.id, waiting)
-		}
-		clk.Sleep(time.Millisecond)
-	}
+	return n.sys.reconfigure([]*Node{n}, newCfg, n.id)
 }
 
 // Down reports whether the node is currently crashed.

@@ -368,3 +368,191 @@ func TestDetectorCrashRecoverRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// drainBed is a lossless group of three servers and a client whose servers
+// register echo and gate. gate signals entered once, waits for release,
+// then runs nest (when set) and echoes its argument.
+type drainBed struct {
+	sys         *mrpc.System
+	client      *mrpc.Node
+	echo, gate  mrpc.OpID
+	entered     chan struct{}
+	release     chan struct{}
+	nest        func(args []byte)
+	releaseOnce sync.Once
+}
+
+func newDrainBed(t *testing.T, timeout time.Duration) *drainBed {
+	t.Helper()
+	b := &drainBed{
+		sys:     mrpc.NewSystem(mrpc.SystemOptions{ReconfigureTimeout: timeout}),
+		entered: make(chan struct{}, 1),
+		release: make(chan struct{}),
+	}
+	t.Cleanup(b.sys.Stop)
+	t.Cleanup(b.open) // a failing test must not leave a dispatch blocked
+	reg := mrpc.NewRegistry()
+	b.echo = reg.Register("echo", func(_ *mrpc.Thread, args []byte) []byte { return args })
+	b.gate = reg.Register("gate", func(_ *mrpc.Thread, args []byte) []byte {
+		select {
+		case b.entered <- struct{}{}:
+		default:
+		}
+		<-b.release
+		if b.nest != nil {
+			b.nest(args)
+		}
+		return args
+	})
+	cfg := reconfigExactlyOnce()
+	for id := mrpc.ProcID(1); id <= 3; id++ {
+		if _, err := b.sys.AddServer(id, cfg, func() mrpc.App { return reg }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var err error
+	if b.client, err = b.sys.AddClient(100, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func (b *drainBed) open() { b.releaseOnce.Do(func() { close(b.release) }) }
+
+// drainClass returns a drain-class target: only the retransmission period
+// changes.
+func (b *drainBed) drainClass() mrpc.Config {
+	cfg := reconfigExactlyOnce()
+	cfg.RetransTimeout = 6 * time.Millisecond
+	return cfg
+}
+
+// callGate issues a gate call from the client to server and waits until
+// the procedure runs; the returned channel yields the call's outcome.
+func (b *drainBed) callGate(t *testing.T, server mrpc.ProcID) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		reply, status, err := b.client.Call(b.gate, []byte("parent"), b.sys.Group(server))
+		if err == nil && (status != mrpc.StatusOK || string(reply) != "parent") {
+			err = fmt.Errorf("parent call: status %v reply %q", status, reply)
+		}
+		done <- err
+	}()
+	select {
+	case <-b.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gate procedure never ran")
+	}
+	return done
+}
+
+// await fails the test unless ch yields nil within 10 s.
+func await(t *testing.T, ch <-chan error, what string) {
+	t.Helper()
+	select {
+	case err := <-ch:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal(what)
+	}
+}
+
+// TestReconfigureNestedCallDuringDrain fences the nested-call wedge
+// (DESIGN.md D14): a procedure that calls synchronously through its own
+// node while that node drains waits at the closed admission gate inside
+// its dispatch, and a swap would wait for that dispatch forever. Its
+// server record keeps the drain from settling instead, so the
+// reconfiguration times out and reopens admission, after which the nested
+// call and its parent both complete. Both entry points are checked.
+func TestReconfigureNestedCallDuringDrain(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	for _, tc := range []struct {
+		name        string
+		reconfigure func(sys *mrpc.System, n *mrpc.Node, cfg mrpc.Config) error
+	}{
+		{"node", func(_ *mrpc.System, n *mrpc.Node, cfg mrpc.Config) error { return n.Reconfigure(cfg) }},
+		{"system", func(sys *mrpc.System, _ *mrpc.Node, cfg mrpc.Config) error { return sys.Reconfigure(cfg) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newDrainBed(t, timeout)
+			n1, _ := b.sys.Node(1)
+			nested := make(chan error, 1)
+			b.nest = func(args []byte) {
+				reply, status, err := n1.Call(b.echo, []byte("nested"), b.sys.Group(2))
+				if err == nil && (status != mrpc.StatusOK || string(reply) != "nested") {
+					err = fmt.Errorf("nested call: status %v reply %q", status, reply)
+				}
+				nested <- err
+			}
+			parent := b.callGate(t, 1)
+
+			reconfigured := make(chan error, 1)
+			start := time.Now()
+			go func() { reconfigured <- tc.reconfigure(b.sys, n1, b.drainClass()) }()
+			// Admission closes right after planning, well inside this
+			// pause; the nested call is then issued into the closed gate.
+			time.Sleep(timeout / 3)
+			b.open()
+
+			select {
+			case err := <-reconfigured:
+				if err == nil {
+					t.Fatal("Reconfigure swapped while a procedure waited at its node's closed admission gate")
+				}
+				if took := time.Since(start); took > 5*timeout {
+					t.Fatalf("Reconfigure took %v, want at most %v", took, 5*timeout)
+				}
+			case <-time.After(5 * timeout):
+				t.Fatal("Reconfigure wedged behind a nested call made during its own node's drain")
+			}
+			await(t, nested, "the nested call never completed after the drain gave up")
+			await(t, parent, "the parent call never completed after the drain gave up")
+
+			// Admission is open again on the drained node and the client.
+			for _, n := range []*mrpc.Node{n1, b.client} {
+				if reply, status, err := n.Call(b.echo, []byte("after"), b.sys.Group(3)); err != nil || status != mrpc.StatusOK || string(reply) != "after" {
+					t.Fatalf("node %d call after the failed drain: status %v reply %q err %v", n.ID(), status, reply, err)
+				}
+			}
+		})
+	}
+}
+
+// TestReconfigureTimeoutNamesBusyNode: when a drain, or Settle, times out,
+// the error names each node still busy and what it holds, so a stuck
+// reconfiguration points at its member.
+func TestReconfigureTimeoutNamesBusyNode(t *testing.T) {
+	b := newDrainBed(t, 100*time.Millisecond)
+	parent := b.callGate(t, 3)
+
+	err := b.sys.Reconfigure(b.drainClass())
+	if err == nil {
+		t.Fatal("Reconfigure drained while node 3 held a blocked procedure")
+	}
+	settleErr := b.sys.Settle(b.sys.Clock().Now().Add(50 * time.Millisecond))
+	if settleErr == nil {
+		t.Fatal("Settle settled while node 3 held a blocked procedure")
+	}
+	for _, err := range []error{err, settleErr} {
+		msg := err.Error()
+		if !strings.Contains(msg, "node3: waiting=0 held=1 retrans=0") ||
+			!strings.Contains(msg, "node100: waiting=1 ") {
+			t.Fatalf("timeout error does not name the busy nodes: %v", err)
+		}
+		if strings.Contains(msg, "node1:") || strings.Contains(msg, "node2:") {
+			t.Fatalf("timeout error names an idle node: %v", err)
+		}
+	}
+
+	b.open()
+	await(t, parent, "the blocked call never completed")
+	if err := b.sys.Settle(b.sys.Clock().Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.sys.Reconfigure(b.drainClass()); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -3,8 +3,8 @@ package mrpc_test
 // Benchmarks for the TCP transport (internal/nettcp): the same composite
 // call path E8 measures on the simulator, now over real loopback sockets,
 // and the raw multicast fanout the group call path pays per destination.
-// `mrpcbench -bench tcp` snapshots these (plus the nettcp framing
-// benchmarks matched by the TCP regex) into BENCH_tcp.json.
+// They attribute costs; the gated end-to-end TCP numbers are groupbench's
+// tcp_pipe_g3 workload (groupbench/README.md).
 
 import (
 	"fmt"
