@@ -120,7 +120,11 @@ func (m *NetMsg) AppendEncode(buf []byte) []byte {
 // Decode parses a message previously produced by Encode. Every
 // variable-length field is copied out of buf, so the caller may recycle it.
 func Decode(buf []byte) (*NetMsg, error) {
-	return decode(buf, false)
+	m := new(NetMsg)
+	if _, err := decodeInto(m, buf, false, nil); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // DecodeShared parses like Decode but borrows Args directly from buf
@@ -130,21 +134,48 @@ func Decode(buf []byte) (*NetMsg, error) {
 // encode-once multicast path, where every delivery of one send shares a
 // single wire buffer (deviation D13).
 func DecodeShared(buf []byte) (*NetMsg, error) {
-	m, err := decode(buf, true)
-	if err == nil {
-		m.Freeze()
-	}
+	m, _, err := DecodeSharedReuse(buf, nil)
 	return m, err
 }
 
-func decode(buf []byte, shareArgs bool) (*NetMsg, error) {
+// DecodeSharedReuse decodes like DecodeShared and also shares server
+// groups: a decoded Server that names the same members as prev, or as the
+// sub-message before it in a batch, is that same slice rather than a fresh
+// one. It returns the last group the frame named (prev when it named none),
+// which a receiver passes as prev for its next frame. Sharing is safe
+// because a decoded message and everything it reaches are frozen (D13):
+// prev must itself come from a shared decode, and nobody may write into it.
+func DecodeSharedReuse(buf []byte, prev Group) (*NetMsg, Group, error) {
+	m := new(NetMsg)
+	last, err := decodeInto(m, buf, true, prev)
+	if err != nil {
+		return nil, prev, err
+	}
+	return m, last, nil
+}
+
+// minSubFrameLen is the least a batch sub-frame can occupy in the payload:
+// its length prefix and a fixed header.
+const minSubFrameLen = 4 + fixedHeaderLen
+
+// decodeInto parses buf into the zero message m and returns the last
+// server group it decoded, or prev when buf names none; on error m and the
+// group are garbage. With shareArgs it
+// borrows Args from buf, remembers the frame for relaying, reuses prev (or
+// an earlier sibling's group) for an equal Server, and freezes m; without
+// it, every variable-length field is a private copy and prev is ignored.
+//
+// A batch allocates per frame, not per message: its sub-messages decode
+// into one []NetMsg slab, so a retained sub-message keeps its siblings'
+// headers alive exactly as its Args keep the frame's bytes alive.
+func decodeInto(m *NetMsg, buf []byte, shareArgs bool, prev Group) (Group, error) {
 	if len(buf) < fixedHeaderLen {
 		return nil, ErrShortMessage
 	}
 	if buf[0] != wireVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, buf[0])
 	}
-	m := &NetMsg{Type: NetOp(buf[1]), Relay: buf[2]}
+	m.Type, m.Relay = NetOp(buf[1]), buf[2]
 	if m.Type < OpCall || m.Type > OpRelayAck {
 		return nil, fmt.Errorf("msg: invalid message type %d", buf[1])
 	}
@@ -180,11 +211,15 @@ func decode(buf []byte, shareArgs bool) (*NetMsg, error) {
 			len(buf), off+4*nGroup+nArgs+12*nVC)
 	}
 	if nGroup > 0 {
-		m.Server = make(Group, nGroup)
-		for i := 0; i < nGroup; i++ {
-			m.Server[i] = ProcID(binary.BigEndian.Uint32(buf[off:]))
-			off += 4
+		members := buf[off : off+4*nGroup]
+		off += 4 * nGroup
+		if !shareArgs || !sameMembers(prev, members) {
+			prev = make(Group, nGroup)
+			for i := range prev {
+				prev[i] = ProcID(binary.BigEndian.Uint32(members[4*i:]))
+			}
 		}
+		m.Server = prev
 	}
 	if m.Type == OpBatch {
 		if nArgs < 2 {
@@ -194,16 +229,16 @@ func decode(buf []byte, shareArgs bool) (*NetMsg, error) {
 		off += nArgs
 		count := int(binary.BigEndian.Uint16(payload))
 		p := 2
-		// Clamp the capacity hint by what the payload could possibly hold
-		// (each sub-frame costs at least its 4-byte length prefix): a
-		// corrupt count must not drive allocation beyond the bytes that
-		// actually arrived.
-		capHint := count
-		if most := (len(payload) - p) / 4; capHint > most {
-			capHint = most
+		// The slab is sized from the count, so a count the payload could
+		// not hold is rejected first: a corrupt count must not drive
+		// allocation beyond the bytes that actually arrived.
+		if count*minSubFrameLen > len(payload)-p {
+			return nil, fmt.Errorf("%w: batch of %d sub-frames in %d payload bytes",
+				ErrShortMessage, count, len(payload))
 		}
-		m.Batch = make([]*NetMsg, 0, capHint)
-		for i := 0; i < count; i++ {
+		slab := make([]NetMsg, count)
+		m.Batch = make([]*NetMsg, count)
+		for i := range slab {
 			if len(payload)-p < 4 {
 				return nil, fmt.Errorf("%w: truncated batch payload", ErrShortMessage)
 			}
@@ -212,21 +247,18 @@ func decode(buf []byte, shareArgs bool) (*NetMsg, error) {
 			if len(payload)-p < sl {
 				return nil, fmt.Errorf("%w: truncated batch sub-frame %d", ErrShortMessage, i)
 			}
-			sub, err := decode(payload[p:p+sl:p+sl], shareArgs)
-			if err != nil {
+			// Sub-messages borrow from the shared wire buffer exactly like
+			// a top-level shared decode would, and are frozen likewise.
+			sub := &slab[i]
+			var err error
+			if prev, err = decodeInto(sub, payload[p:p+sl:p+sl], shareArgs, prev); err != nil {
 				return nil, fmt.Errorf("msg: batch sub-frame %d: %w", i, err)
 			}
 			p += sl
 			if sub.Type == OpBatch {
 				return nil, fmt.Errorf("msg: batch sub-frame %d: batch frames do not nest", i)
 			}
-			if shareArgs {
-				// Sub-messages borrow from the shared wire buffer exactly
-				// like a top-level DecodeShared would; they are frozen for
-				// the same reason.
-				sub.Freeze()
-			}
-			m.Batch = append(m.Batch, sub)
+			m.Batch[i] = sub
 		}
 		if p != len(payload) {
 			return nil, fmt.Errorf("msg: batch payload has %d trailing bytes", len(payload)-p)
@@ -251,5 +283,21 @@ func decode(buf []byte, shareArgs bool) (*NetMsg, error) {
 			off += 8
 		}
 	}
-	return m, nil
+	if shareArgs {
+		m.Freeze()
+	}
+	return prev, nil
+}
+
+// sameMembers reports whether the encoded members name exactly group g.
+func sameMembers(g Group, members []byte) bool {
+	if 4*len(g) != len(members) {
+		return false
+	}
+	for i, p := range g {
+		if ProcID(binary.BigEndian.Uint32(members[4*i:])) != p {
+			return false
+		}
+	}
+	return true
 }

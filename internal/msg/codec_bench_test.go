@@ -55,3 +55,21 @@ func BenchmarkWireCodecDecode(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWireCodecDecodeBatch measures the shared decode every socket
+// frame takes, on the shape a pipelined burst puts on the wire: one batch
+// of 16 calls to the same 3-member group.
+func BenchmarkWireCodecDecodeBatch(b *testing.B) {
+	subs := make([]*NetMsg, 16)
+	for i := range subs {
+		subs[i] = benchWireMsg(0)
+	}
+	wire := NewBatch(100, subs).Encode()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeShared(wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -93,7 +93,10 @@ func FuzzWireDecode(f *testing.F) {
 // FuzzBatchDecode targets the OpBatch envelope: the uint16 sub-frame count
 // and per-sub uint32 length prefixes (which never nest). Corrupt counts
 // and lengths must error without panicking or allocating past the
-// payload; accepted batches hold only frozen, non-batch sub-messages.
+// payload; accepted batches hold only frozen, non-batch sub-messages, each
+// equal to what decoding its sub-frame alone yields (the shared decode
+// reuses server groups across sub-messages, and must reuse only equal
+// ones).
 func FuzzBatchDecode(f *testing.F) {
 	batch := NewBatch(7, []*NetMsg{sampleMsg(), sampleMsg()})
 	golden := batch.Encode()
@@ -106,6 +109,8 @@ func FuzzBatchDecode(f *testing.F) {
 	corrupt[fixedHeaderLen] = 0xff
 	corrupt[fixedHeaderLen+1] = 0xff
 	f.Add(corrupt)
+	// Groups that repeat, change, vanish and come back.
+	f.Add(groupBatch(NewGroup(1, 2, 3), NewGroup(1, 2, 4), nil, NewGroup(1, 2, 4), NewGroup(1, 2)).Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeShared(data)
@@ -113,9 +118,14 @@ func FuzzBatchDecode(f *testing.F) {
 			return
 		}
 		// Each sub-frame costs at least its length prefix plus the fixed
-		// header, so an accepted batch is bounded by the input size.
-		if len(m.Batch)*(4+fixedHeaderLen) > len(data) {
-			t.Fatalf("%d sub-frames from %d input bytes", len(m.Batch), len(data))
+		// header, so an accepted batch — its sub-message pointers and the
+		// slab they point into, sized together — is bounded by the input.
+		if cap(m.Batch)*minSubFrameLen > len(data) {
+			t.Fatalf("room for %d sub-frames from %d input bytes", cap(m.Batch), len(data))
+		}
+		frames := subFrames(t, data)
+		if len(frames) != len(m.Batch) {
+			t.Fatalf("decoded %d sub-frames, the wire holds %d", len(m.Batch), len(frames))
 		}
 		for i, sub := range m.Batch {
 			if sub.Type == OpBatch {
@@ -123,6 +133,15 @@ func FuzzBatchDecode(f *testing.F) {
 			}
 			if !sub.Frozen() {
 				t.Fatalf("sub-frame %d not frozen", i)
+			}
+			alone, err := Decode(frames[i])
+			if err != nil {
+				t.Fatalf("sub-frame %d: accepted in the batch, rejected alone: %v", i, err)
+			}
+			got := *sub
+			got.frozen, got.wire = 0, nil
+			if !reflect.DeepEqual(&got, alone) {
+				t.Fatalf("sub-frame %d differs from its lone decode:\n %+v\n %+v", i, &got, alone)
 			}
 		}
 		if re := m.Encode(); len(re) != len(data) {

@@ -85,10 +85,11 @@ func writeFrame(w *bufio.Writer, wire []byte) error {
 }
 
 // readFrame reads one length-prefixed frame into a fresh buffer. The
-// buffer is freshly allocated per frame and never recycled, so
-// msg.DecodeShared may borrow from it (D13). A length prefix above max is
-// rejected before any payload allocation, so a corrupt or hostile prefix
-// cannot drive memory use.
+// buffer is never recycled, so the shared decode may borrow Args and the
+// relay frame from it (D13): a decoded message, and a batch's whole slab
+// of sub-messages, keep the buffer alive for as long as anyone retains
+// them. A length prefix above max is rejected before any payload
+// allocation, so a corrupt or hostile prefix cannot drive memory use.
 func readFrame(r io.Reader, max int) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -427,15 +427,20 @@ func (e *Endpoint) runReader(c net.Conn) {
 		return
 	}
 	c.SetDeadline(time.Time{})
+	// group is the last server group this connection decoded: a peer's
+	// calls and replies keep naming the same group, so every frame after
+	// the first shares it instead of allocating its own (D13).
+	var group msg.Group
 	for {
 		wire, err := readFrame(br, e.tr.opts.MaxFrame)
 		if err != nil {
 			return
 		}
-		m, err := msg.DecodeShared(wire)
+		m, last, err := msg.DecodeSharedReuse(wire, group)
 		if err != nil {
 			return
 		}
+		group = last
 		e.tr.flight.Add(1)
 		e.Dispatch(transport.Delivery{Msg: m})
 	}

@@ -118,6 +118,13 @@ type Inbox struct {
 	mail   chan Delivery
 
 	ingress atomic.Int64
+
+	// group is the last server group a wire delivery decoded. The next
+	// decode reuses it while frames keep naming the same members, so a
+	// steady stream of calls to one group allocates no group at all. It is
+	// atomic because wire deliveries decode concurrently on pooled
+	// workers; the group itself is frozen with the message that named it.
+	group atomic.Pointer[msg.Group]
 }
 
 // NewInbox returns an up inbox on f delivering to h (which may be nil until
@@ -208,18 +215,28 @@ func (in *Inbox) work(first Delivery) {
 }
 
 // deliver hands d to the handler on the calling goroutine, decoding its
-// wire bytes first.
+// wire bytes first. Args are borrowed from the wire buffer, which is never
+// recycled, so retained Args stay valid (D13); the decoded Server is shared
+// with earlier deliveries to this inbox that named the same group.
 func (in *Inbox) deliver(d Delivery) {
 	defer in.flight.Done()
 	m := d.Msg
 	if d.Wire != nil {
-		// Args are borrowed from the shared immutable buffer, not copied;
-		// the buffer is never recycled, so retained Args stay valid (D13).
-		decoded, err := msg.DecodeShared(d.Wire)
+		var prev msg.Group
+		if g := in.group.Load(); g != nil {
+			prev = *g
+		}
+		decoded, last, err := msg.DecodeSharedReuse(d.Wire, prev)
 		if err != nil {
 			// These bytes are this process's own encoding: a failure is a
 			// codec bug, not a network fault, so surface it loudly.
 			panic(fmt.Sprintf("transport: wire codec round-trip: %v", err))
+		}
+		if len(last) != len(prev) || len(last) > 0 && &last[0] != &prev[0] {
+			// A fresh header only when the group changed: storing &last
+			// directly would move last to the heap on every delivery.
+			g := last
+			in.group.Store(&g)
 		}
 		m = decoded
 	}
