@@ -176,7 +176,7 @@ func RunOver(sc Scenario, newTransport TransportFactory) (*Result, error) {
 	for i, st := range sc.Steps {
 		switch st.Kind {
 		case StepCalls:
-			w := startBatch(clients[st.Client], st.Client, st.N, group)
+			w := startBatch(clients[st.Client], st.Client, st.N, group, log)
 			if st.Wait {
 				if !w.join(clk, deadline) {
 					return nil, fmt.Errorf("check: step %d: call batch did not complete", i)
@@ -196,6 +196,14 @@ func RunOver(sc Scenario, newTransport TransportFactory) (*Result, error) {
 			n, ok := sys.Node(st.Node)
 			if !ok {
 				return nil, fmt.Errorf("check: step %d: no node %d", i, st.Node)
+			}
+			// A crash races the node's running no-wait batch only once the
+			// batch has a call out; crashing before its first call would
+			// orphan nothing.
+			for _, w := range workers {
+				if w.client == st.Node && !w.waitFirstCall(log, clk, deadline) {
+					return nil, fmt.Errorf("check: step %d: crashing node's call batch issued no call", i)
+				}
 			}
 			n.Crash()
 		case StepRecover:
@@ -305,18 +313,49 @@ func RunOver(sc Scenario, newTransport TransportFactory) (*Result, error) {
 type workerHandle struct {
 	client msg.ProcID
 	th     *proc.Thread
+	issued int // calls the client had issued when the batch started
 }
 
 // startBatch issues count sequential calls from n on a dedicated thread;
 // statuses and errors are not inspected here — the structured trace is the
 // record the oracles judge.
-func startBatch(n *mrpc.Node, client msg.ProcID, count int, group mrpc.Group) *workerHandle {
+func startBatch(n *mrpc.Node, client msg.ProcID, count int, group mrpc.Group, log *trace.Log) *workerHandle {
+	issued := issuedBy(log, client)
 	th := proc.Go(func(*proc.Thread) {
 		for j := 0; j < count; j++ {
 			_, _, _ = n.Call(OpWork, []byte{byte(j + 1)}, group)
 		}
 	})
-	return &workerHandle{client: client, th: th}
+	return &workerHandle{client: client, th: th, issued: issued}
+}
+
+// issuedBy counts the calls client has issued so far (its KCallIssued
+// events).
+func issuedBy(log *trace.Log, client msg.ProcID) int {
+	n := 0
+	for _, e := range log.Events() {
+		if e.Kind == trace.KCallIssued && e.Client == client {
+			n++
+		}
+	}
+	return n
+}
+
+// waitFirstCall waits until the batch has issued its first call, or has ended,
+// polling the trace against the run deadline.
+func (w *workerHandle) waitFirstCall(log *trace.Log, clk clock.Clock, deadline time.Time) bool {
+	for issuedBy(log, w.client) == w.issued {
+		select {
+		case <-w.th.Done():
+			return true
+		default:
+		}
+		if clk.Now().After(deadline) {
+			return false
+		}
+		clk.Sleep(time.Millisecond)
+	}
+	return true
 }
 
 // join waits for the batch to finish, polling against the run deadline.

@@ -42,7 +42,7 @@ func TestCompositeAssembly(t *testing.T) {
 			t.Fatalf("protocols[%d] = %q, want %q", i, names[i], want[i])
 		}
 	}
-	if comp.Framework() == nil || comp.Framework().Threads() == nil {
+	if comp.Framework() == nil {
 		t.Fatal("accessors")
 	}
 

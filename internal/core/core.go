@@ -141,7 +141,7 @@ type ServerRecord struct {
 	Server msg.Group
 	Client msg.ProcID
 	Inc    msg.Incarnation
-	Thread *proc.Thread
+	Thread *proc.Thread // the kill token of the call's generation
 	// Msg is the (frozen) network message that admitted the call. Retained
 	// so a reconfiguration swap can re-home a call still held by a detached
 	// ordering protocol (Sequencer.Adopt needs the original message).
@@ -152,8 +152,8 @@ type ServerRecord struct {
 }
 
 // NetEvent is the argument of MSG_FROM_NETWORK occurrences: the delivered
-// message plus, for Call messages, the thread token under which the
-// procedure will execute.
+// message plus, for Call messages, the kill token of the caller's
+// generation, under which the procedure will execute.
 type NetEvent struct {
 	Msg    *msg.NetMsg
 	Thread *proc.Thread
@@ -261,7 +261,7 @@ type Framework struct {
 	dissem     *Disseminator // dissemination layer under the flush queue (D17)
 	server     Server
 	membership member.Service
-	threads    *proc.Threads
+	threads    *proc.Threads // one kill token per (client, incarnation)
 	sink       trace.Sink
 
 	// Call tables (pRPC and sRPC, §4.2), sharded; see table.go.
@@ -315,7 +315,12 @@ type Framework struct {
 	serialMode bool
 	serialMu   sync.Mutex
 	serialBusy bool
-	serialQ    []msg.CallKey
+	serialQ    []msg.CallKey // pending calls are serialQ[serialHead:]
+	serialHead int
+
+	// group is the last group snapshot a client record took; the next call
+	// to the same members reuses it instead of cloning the caller's slice.
+	group atomic.Pointer[msg.Group]
 
 	// inc caches the current incarnation (updated by RPC Main's recovery
 	// handler, read when stamping outgoing calls).
@@ -426,9 +431,6 @@ func (fw *Framework) MulticastOthers(group msg.Group, m *msg.NetMsg) {
 
 // Membership returns the membership service.
 func (fw *Framework) Membership() member.Service { return fw.membership }
-
-// Threads returns the server-thread registry.
-func (fw *Framework) Threads() *proc.Threads { return fw.threads }
 
 // Inc returns the incarnation number stamped on outgoing calls.
 func (fw *Framework) Inc() msg.Incarnation {
@@ -615,12 +617,19 @@ func (fw *Framework) NewClientRec(op msg.OpID, args []byte, group msg.Group, vc 
 	for range group {
 		pending = append(pending, PendingEntry{})
 	}
+	// Snapshots are frozen (they ride in wire messages), so records share.
+	snap := fw.group.Load()
+	if snap == nil || !snap.Equal(group) {
+		g := group.Clone()
+		snap = &g
+		fw.group.Store(snap)
+	}
 	*rec = ClientRecord{
 		ID:       id,
 		Op:       op,
 		CallArgs: args,
 		Args:     args,
-		Server:   group.Clone(),
+		Server:   *snap,
 		Sem:      s,
 		Pending:  pending,
 		Status:   msg.StatusWaiting,
@@ -695,18 +704,16 @@ func (fw *Framework) PendingServerCalls() int { return fw.servers.len() }
 
 // DropServerCall removes a held call that an ordering or orphan
 // micro-protocol has decided to discard (duplicate of an executed call,
-// stale generation, ...): the record is deleted and its thread finished.
-// It reports whether a record was actually dropped (false when the call
-// already completed or was dropped by someone else).
+// stale generation, ...). It reports whether a record was actually dropped
+// (false when the call already completed or was dropped by someone else).
+// It kills nothing: the call's token is shared with its generation, and no
+// caller drops an executing call (only the orphan sweep takes those).
 func (fw *Framework) DropServerCall(key msg.CallKey) bool {
 	rec, ok := fw.servers.take(key)
 	if !ok {
 		return false
 	}
-	if rec.Thread != nil {
-		rec.Thread.Kill()
-		fw.threads.Finish(rec.Thread)
-	}
+	checkDrop(rec)
 	releaseServerRec(rec)
 	return true
 }
@@ -743,6 +750,11 @@ func (fw *Framework) ForwardUp(key msg.CallKey, index HoldIndex) {
 
 	fw.serialMu.Lock()
 	if fw.serialBusy {
+		if fw.serialHead > 0 && len(fw.serialQ) == cap(fw.serialQ) {
+			// Reclaim the executed prefix before append grows the array.
+			n := copy(fw.serialQ, fw.serialQ[fw.serialHead:])
+			fw.serialQ, fw.serialHead = fw.serialQ[:n], 0
+		}
 		fw.serialQ = append(fw.serialQ, key)
 		fw.serialMu.Unlock()
 		return
@@ -753,13 +765,14 @@ func (fw *Framework) ForwardUp(key msg.CallKey, index HoldIndex) {
 	fw.executeCall(key)
 	for {
 		fw.serialMu.Lock()
-		if len(fw.serialQ) == 0 {
+		if fw.serialHead == len(fw.serialQ) {
+			fw.serialQ, fw.serialHead = fw.serialQ[:0], 0
 			fw.serialBusy = false
 			fw.serialMu.Unlock()
 			return
 		}
-		next := fw.serialQ[0]
-		fw.serialQ = fw.serialQ[1:]
+		next := fw.serialQ[fw.serialHead]
+		fw.serialHead++
 		fw.serialMu.Unlock()
 		fw.executeCall(next)
 	}
@@ -799,7 +812,6 @@ func (fw *Framework) executeCall(key msg.CallKey) {
 		if r, ok := fw.TakeServer(key); ok {
 			releaseServerRec(r)
 		}
-		fw.threads.Finish(th)
 		if fw.Tracing() {
 			fw.Emit(trace.Event{Kind: trace.KOrphanKilled, Client: key.Client, ID: key.ID})
 		}
@@ -841,9 +853,6 @@ func (fw *Framework) executeCall(key msg.CallKey) {
 	srec, held := fw.TakeServer(key)
 	if held {
 		releaseServerRec(srec)
-	}
-	if th != nil {
-		fw.threads.Finish(th)
 	}
 	if !held || (th != nil && th.IsKilled()) {
 		// The record was taken away mid-execution (an orphan sweep dropped
@@ -902,9 +911,6 @@ func (fw *Framework) SetFlushSize(n int) { fw.flusher.SetMax(n) }
 // Dissemination swaps are drain-class, so this runs with no frame in
 // flight.
 func (fw *Framework) SetTreeFanout(k int) { fw.dissem.SetFanout(k) }
-
-// TreeFanout returns the current dissemination fanout (0 = flat).
-func (fw *Framework) TreeFanout() int { return fw.dissem.Fanout() }
 
 // OpenAdmission reopens the admission gate CloseAdmission closed, waking
 // blocked callers. Each CloseAdmission is paired with exactly one
@@ -970,9 +976,9 @@ func (fw *Framework) rehomeHeldCalls(seq Sequencer) {
 // unpacked here, its sub-messages dispatched sequentially in send order
 // under one barrier acquisition — the transport contract is unordered, so
 // serializing what used to race as independent deliveries only narrows the
-// interleavings — and its replies answered with one frame (D16). For Call
-// messages a thread token is created first, so the orphan micro-protocols
-// can track and kill the computation.
+// interleavings — and its replies answered with one frame (D16). A Call
+// message carries its generation's kill token, through which Terminate
+// Orphan and Close kill the computation.
 func (fw *Framework) HandleNet(m *msg.NetMsg) {
 	fw.cmu.Lock()
 	if fw.closed {
@@ -1023,21 +1029,9 @@ func (fw *Framework) handleOne(m *msg.NetMsg) {
 	ev := netEventPool.Get().(*NetEvent)
 	ev.Msg, ev.Thread = m, nil
 	if m.Type == msg.OpCall {
-		ev.Thread = fw.threads.Spawn(m.Client)
+		ev.Thread = fw.threads.For(m.Client, m.Inc)
 	}
-	completed := fw.bus.Trigger(event.MsgFromNetwork, ev)
-	if !completed && ev.Thread != nil {
-		// The occurrence was cancelled (duplicate, stale generation, ...):
-		// retire this delivery's token unless a stored record adopted it.
-		owned := false
-		thread := ev.Thread
-		fw.WithServer(m.Key(), func(rec *ServerRecord) {
-			owned = rec.Thread == thread
-		})
-		if !owned {
-			fw.threads.Finish(thread)
-		}
-	}
+	fw.bus.Trigger(event.MsgFromNetwork, ev)
 	ev.Msg, ev.Thread = nil, nil
 	netEventPool.Put(ev)
 }
@@ -1140,7 +1134,7 @@ func (fw *Framework) Recover() {
 }
 
 // Close shuts the composite down: pending client calls are aborted (their
-// waiters wake with StatusAborted), live server threads are killed, timers
+// waiters wake with StatusAborted), every kill token is killed, timers
 // are stopped, and the membership subscription is dropped.
 func (fw *Framework) Close() {
 	fw.cmu.Lock()

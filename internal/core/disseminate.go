@@ -111,9 +111,6 @@ var _ Transport = (*Disseminator)(nil)
 // flight when this runs.
 func (d *Disseminator) SetFanout(k int) { d.fanout.Store(int32(k)) }
 
-// Fanout returns the current tree fanout (0 = flat).
-func (d *Disseminator) Fanout() int { return int(d.fanout.Load()) }
-
 // Push implements Transport: point-to-point sends bypass the tree.
 func (d *Disseminator) Push(to msg.ProcID, m *msg.NetMsg) { d.net.Push(to, m) }
 

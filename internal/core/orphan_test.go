@@ -131,12 +131,14 @@ func TestTerminateOrphanKillsOldGeneration(t *testing.T) {
 		&RPCMain{}, &SynchronousCall{}, &Acceptance{Limit: 1}, &Collation{},
 		&TerminateOrphan{})
 	group := msg.NewGroup(1)
+	var wg sync.WaitGroup
+	defer wg.Wait()
 
-	go n.fw.HandleNet(callMsg(100, mkID(1, 1), 1, group, "orphan"))
+	deliverAsync(&wg, n, callMsg(100, mkID(1, 1), 1, group, "orphan"))
 	<-gate.entered
 
 	// New incarnation arrives: the orphan is killed, the new call runs.
-	go n.fw.HandleNet(callMsg(100, mkID(2, 1), 2, group, "new"))
+	deliverAsync(&wg, n, callMsg(100, mkID(2, 1), 2, group, "new"))
 	<-gate.entered
 	gate.release <- struct{}{}
 
@@ -148,7 +150,9 @@ func TestTerminateOrphanKillsOldGeneration(t *testing.T) {
 	if got := gate.completed(); got[0] != "new" {
 		t.Fatalf("completed %v", got)
 	}
-	// The orphan's reply is suppressed: only the new call replied.
+	// The orphan's reply is suppressed: only the new call replied. Both
+	// deliveries must have finished before the replies are counted.
+	wg.Wait()
 	net.wait()
 	if got := net.countSent(msg.OpReply, 100); got != 1 {
 		t.Fatalf("replies = %d, want 1 (orphan reply suppressed)", got)

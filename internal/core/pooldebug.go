@@ -150,3 +150,13 @@ func checkPoison(x any) {
 		}
 	}
 }
+
+// checkDrop panics when DropServerCall takes the record of an executing
+// call. The call's kill token is shared with its generation, so a drop
+// cannot kill it; only the orphan sweep (dropCallsOlderThan), which kills
+// the generation first, may take a call out from under its procedure.
+func checkDrop(rec *ServerRecord) {
+	if rec.executing {
+		panic(fmt.Sprintf("mrpcdebug: DropServerCall took executing call %v outside the orphan sweep", rec.Key))
+	}
+}

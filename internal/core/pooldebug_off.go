@@ -10,3 +10,6 @@ import "sync"
 type debugPool = sync.Pool
 
 func newPool(f func() any) *debugPool { return &debugPool{New: f} }
+
+// checkDrop is a no-op in release builds; see pooldebug.go.
+func checkDrop(*ServerRecord) {}

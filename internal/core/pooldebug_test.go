@@ -61,3 +61,26 @@ func TestPoolDebugPoisonAllShapes(t *testing.T) {
 		checkPoison(x)
 	}
 }
+
+// TestDebugDropOnlySweepTakesExecutingCall: a generation's calls share one
+// kill token, so DropServerCall (which kills nothing) must never take an
+// executing call; only the orphan sweep, which kills the generation first,
+// may.
+func TestDebugDropOnlySweepTakesExecutingCall(t *testing.T) {
+	fw := newBareNode(t, 1, discardNet{}, nil, nil)
+	put := func(id msg.CallID) msg.CallKey {
+		rec := getServerRec()
+		*rec = ServerRecord{Key: msg.CallKey{Client: 100, ID: id}, Client: 100, Inc: 1, executing: true}
+		if !fw.PutServerRec(rec) {
+			t.Fatal("put failed")
+		}
+		return msg.CallKey{Client: 100, ID: id}
+	}
+	k := put(1)
+	mustPanic(t, "DropServerCall of an executing call", func() { fw.DropServerCall(k) })
+	put(2)
+	fw.dropCallsOlderThan(100, 2)
+	if n := fw.PendingServerCalls(); n != 0 {
+		t.Fatalf("sweep left %d records", n)
+	}
+}

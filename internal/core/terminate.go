@@ -6,7 +6,6 @@ import (
 
 	"mrpc/internal/event"
 	"mrpc/internal/msg"
-	"mrpc/internal/proc"
 	"mrpc/internal/trace"
 )
 
@@ -15,9 +14,9 @@ import (
 // detection approaches and both are implemented:
 //
 //  1. incarnation detection (always on): receiving a message from a newer
-//     incarnation of a client proves the previous incarnation died, so
-//     every thread still executing that client's old calls is killed and
-//     its held calls dropped;
+//     incarnation of a client proves the previous incarnation died, so the
+//     kill token of every older generation is killed and its held calls
+//     dropped;
 //  2. probing (enabled by ProbeInterval > 0): while a client has work in
 //     progress the server probes it periodically; a client that misses
 //     ProbeMisses consecutive probes is presumed crashed and its
@@ -25,10 +24,10 @@ import (
 //     automatically (this micro-protocol registers the responder on both
 //     sides, like every other micro-protocol in the symmetric composite).
 //
-// Deviation D5: Go threads are killed cooperatively — the thread token is
-// marked killed, the execution slot and tables are cleaned up immediately,
-// and the running procedure observes the kill at its next cancellation
-// point; its reply is suppressed either way.
+// Kills go through the framework's registry of per-generation kill tokens;
+// nothing is kept per call (D6). Kill is cooperative (D5): the tables are
+// cleaned up at once, the running procedures observe the kill at their next
+// cancellation point, and their replies are suppressed either way.
 type TerminateOrphan struct {
 	// ProbeInterval enables probing detection when positive.
 	ProbeInterval time.Duration
@@ -38,8 +37,8 @@ type TerminateOrphan struct {
 
 	b  *Binding
 	mu sync.Mutex
-	// info migrates across a probe-parameter swap so threads executing
-	// old-generation calls remain killable by the successor instance.
+	// info migrates across a probe-parameter swap so the successor instance
+	// keeps each client's incarnation and probe count.
 	info map[msg.ProcID]*toEntry
 }
 
@@ -47,9 +46,8 @@ var _ MicroProtocol = (*TerminateOrphan)(nil)
 var _ Stateful = (*TerminateOrphan)(nil)
 
 type toEntry struct {
-	inc     msg.Incarnation
-	threads map[int64]*proc.Thread
-	missed  int // consecutive unanswered probes
+	inc    msg.Incarnation
+	missed int // consecutive unanswered probes
 }
 
 // Name implements MicroProtocol.
@@ -90,18 +88,16 @@ func (to *TerminateOrphan) Attach(fw *Framework) error {
 
 	b.On(event.MsgFromNetwork, "TerminateOrphan.msgFromNet", PrioOrphan,
 		func(o *event.Occurrence) {
-			ev := o.Arg.(*NetEvent)
-			m := ev.Msg
-			if m.Type != msg.OpCall || ev.Thread == nil {
+			m := o.Arg.(*NetEvent).Msg
+			if m.Type != msg.OpCall {
 				return
 			}
 			client := m.Client
-			th := ev.Thread
 
 			to.mu.Lock()
 			ci, ok := to.info[client]
 			if !ok {
-				ci = &toEntry{inc: m.Inc, threads: make(map[int64]*proc.Thread)}
+				ci = &toEntry{inc: m.Inc}
 				to.info[client] = ci
 			}
 			switch {
@@ -109,42 +105,16 @@ func (to *TerminateOrphan) Attach(fw *Framework) error {
 				// The call itself is an orphan of a dead incarnation.
 				to.mu.Unlock()
 				o.Cancel()
-				return
 			case ci.inc < m.Inc:
 				// Newer incarnation detected: everything running for the
 				// old one is an orphan. Kill it.
-				orphans := ci.threads
 				ci.inc = m.Inc
-				ci.threads = map[int64]*proc.Thread{th.ID(): th}
 				to.mu.Unlock()
-				for _, t := range orphans {
-					t.Kill()
-				}
+				fw.threads.KillBelow(client, m.Inc)
 				fw.dropCallsOlderThan(client, m.Inc)
 			default:
-				ci.threads[th.ID()] = th
 				to.mu.Unlock()
 			}
-			o.OnCancel(func(*event.Occurrence) {
-				to.mu.Lock()
-				delete(ci.threads, th.ID())
-				to.mu.Unlock()
-			})
-		})
-
-	b.On(event.ReplyFromServer, "TerminateOrphan.handleReply", PrioReplyBookkeep,
-		func(o *event.Occurrence) {
-			key := *o.Arg.(*msg.CallKey)
-			var th *proc.Thread
-			fw.WithServer(key, func(rec *ServerRecord) { th = rec.Thread })
-			if th == nil {
-				return
-			}
-			to.mu.Lock()
-			if ci, ok := to.info[key.Client]; ok {
-				delete(ci.threads, th.ID())
-			}
-			to.mu.Unlock()
 		})
 
 	// Probing detection (§4.4.7, second option).
@@ -172,14 +142,13 @@ func (to *TerminateOrphan) Attach(fw *Framework) error {
 	}
 	var probe event.Handler
 	probe = func(*event.Occurrence) {
-		var (
-			targets []msg.ProcID
-			dead    []msg.ProcID
-			orphans []*proc.Thread
-		)
+		// A client has work in progress while sRPC holds one of its calls.
+		busy := make(map[msg.ProcID]bool)
+		fw.EachServer(func(r *ServerRecord) { busy[r.Client] = true })
+		var targets, dead []msg.ProcID
 		to.mu.Lock()
 		for client, ci := range to.info {
-			if len(ci.threads) == 0 {
+			if !busy[client] {
 				ci.missed = 0
 				continue
 			}
@@ -187,11 +156,7 @@ func (to *TerminateOrphan) Attach(fw *Framework) error {
 			if ci.missed > probeMisses {
 				// Presumed crashed: kill its computations. If the client
 				// is in fact alive (false suspicion), its retransmissions
-				// re-execute the calls later.
-				for _, t := range ci.threads {
-					orphans = append(orphans, t)
-				}
-				ci.threads = make(map[int64]*proc.Thread)
+				// re-execute the calls later under a fresh token.
 				ci.missed = 0
 				dead = append(dead, client)
 				continue
@@ -199,9 +164,6 @@ func (to *TerminateOrphan) Attach(fw *Framework) error {
 			targets = append(targets, client)
 		}
 		to.mu.Unlock()
-		for _, t := range orphans {
-			t.Kill()
-		}
 		for _, client := range targets {
 			fw.Net().Push(client, &msg.NetMsg{
 				Type:   msg.OpProbe,
@@ -210,6 +172,7 @@ func (to *TerminateOrphan) Attach(fw *Framework) error {
 			})
 		}
 		for _, client := range dead {
+			fw.threads.KillClient(client)
 			fw.dropCallsOlderThan(client, maxInc)
 		}
 		b.After("TerminateOrphan.probe", probeInterval, probe)
@@ -222,8 +185,8 @@ func (to *TerminateOrphan) Attach(fw *Framework) error {
 func (to *TerminateOrphan) Detach(*Framework) { to.b.Detach() }
 
 // dropCallsOlderThan removes every held call of client with an incarnation
-// older than inc, killing its thread and releasing its execution slot —
-// the cleanup companion of Terminate Orphan's kill sweep.
+// older than inc, releasing its execution slot — the cleanup companion of
+// Terminate Orphan's kill sweep, which kills the calls' generations first.
 func (fw *Framework) dropCallsOlderThan(client msg.ProcID, inc msg.Incarnation) {
 	// The kill sweep must see one consistent snapshot of the client's held
 	// calls — a call racing in from the dead incarnation must not slip
@@ -237,10 +200,15 @@ func (fw *Framework) dropCallsOlderThan(client msg.ProcID, inc msg.Incarnation) 
 		})
 	})
 	for _, k := range keys {
-		// Emit the kill only when the drop actually landed: if the call's
-		// execution won the race and took its own record, its reply is
-		// legitimate and must not be flagged as an escaped orphan.
-		if fw.DropServerCall(k) && fw.Tracing() {
+		// Unlike DropServerCall the sweep may take an executing call (its
+		// token is already killed). Emit the kill only when the drop landed:
+		// a call whose execution took its own record replied legitimately.
+		rec, ok := fw.servers.take(k)
+		if !ok {
+			continue
+		}
+		releaseServerRec(rec)
+		if fw.Tracing() {
 			fw.Emit(trace.Event{Kind: trace.KOrphanKilled, Client: k.Client, ID: k.ID})
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -302,12 +301,7 @@ func orderedDeliveryAllocs(t *testing.T, self msg.ProcID, ordered bool) float64 
 // leader's CALL. Each figure is the difference between the same composite
 // with and without Total Order.
 func TestTotalOrderKnownGroupAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops pooled objects at random")
-	}
-	if _, plain := any(netEventPool).(*sync.Pool); !plain {
-		t.Skip("the mrpcdebug pool wrapper records every pooled object in a map")
-	}
+	skipAllocGuard(t)
 	for _, c := range []struct {
 		role string
 		self msg.ProcID

@@ -17,8 +17,8 @@
 //     or through a helper one call deep.
 //   - goroutine-discipline: bare go statements outside internal/proc and
 //     internal/transport (whose delivery workers the in-flight count
-//     tracks) must go through proc.Go / proc.(*Threads).Go so crash
-//     injection can reap the goroutine.
+//     tracks) must go through proc.Go so crash injection can reap the
+//     goroutine.
 //   - priority-constants: priorities passed to Bus.Register must reference
 //     named constants, not magic ints.
 //   - msg-immutability: fields of a msg.NetMsg must not be written outside

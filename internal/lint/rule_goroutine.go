@@ -15,9 +15,9 @@ var goroutineAllowed = map[string]bool{
 }
 
 // checkGoroutineDiscipline flags bare go statements. Goroutines spawned via
-// proc.Go / proc.(*Threads).Go carry a Thread handle, so crash injection
-// (Threads.KillAll) and shutdown paths can reap them; a bare go statement
-// is invisible to both.
+// proc.Go carry a Thread handle (Kill requests termination, Done reports
+// exit), so crash injection and shutdown paths can reap them; a bare go
+// statement is invisible to both.
 func checkGoroutineDiscipline(_ *Analysis, p *Package) []Diagnostic {
 	if !inScope(p.Path) || goroutineAllowed[p.Path] {
 		return nil
@@ -29,8 +29,8 @@ func checkGoroutineDiscipline(_ *Analysis, p *Package) []Diagnostic {
 				ds = append(ds, Diagnostic{
 					Pos:  p.Fset.Position(g.Pos()),
 					Rule: "goroutine-discipline",
-					Message: "bare go statement; spawn through proc.Go or " +
-						"proc.(*Threads).Go so the goroutine can be reaped",
+					Message: "bare go statement; spawn through proc.Go " +
+						"so the goroutine can be reaped",
 				})
 			}
 			return true

@@ -1,5 +1,6 @@
 // Fixture for the goroutine-discipline rule: bare go statements are banned
-// outside internal/proc and internal/transport.
+// outside internal/proc and internal/transport; goroutines are spawned
+// through proc.Go, whose Thread handle lets shutdown reap them.
 package goroutine
 
 func spawn(work func()) {

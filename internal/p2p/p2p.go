@@ -135,11 +135,9 @@ func (s *Server) handleCall(m *msg.NetMsg) {
 		s.mu.Unlock()
 	}
 
-	th := s.threads.Spawn(m.Client)
+	th := s.threads.For(m.Client, m.Inc)
 	res := s.handler(th, m.Op, m.Args)
-	killed := th.IsKilled()
-	s.threads.Finish(th)
-	if killed {
+	if th.IsKilled() {
 		if s.unique {
 			s.mu.Lock()
 			delete(s.oldCalls, key)

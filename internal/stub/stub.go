@@ -14,9 +14,10 @@ import (
 	"mrpc/internal/proc"
 )
 
-// Handler executes one registered operation. th is the killable thread
-// token (nil for locally dispatched test calls); long-running handlers
-// should poll th.IsKilled() at convenient points.
+// Handler executes one registered operation. th is the kill token of the
+// calling client's incarnation, shared by all of its calls (nil for locally
+// dispatched test calls); long-running handlers should poll th.IsKilled()
+// at convenient points.
 type Handler func(th *proc.Thread, args []byte) []byte
 
 // Registry maps operation ids to handlers; it implements core.Server.

@@ -85,7 +85,9 @@ type (
 	Group = msg.Group
 	// Status is the completion status of a call.
 	Status = msg.Status
-	// Thread is the killable token under which a procedure executes.
+	// Thread is the kill token under which a procedure executes: one per
+	// calling client incarnation, shared by all of its calls, so a kill
+	// stops every computation of that incarnation.
 	Thread = proc.Thread
 	// Registry dispatches operations on the server side.
 	Registry = stub.Registry
