@@ -25,7 +25,7 @@ import (
 
 // benchSystem builds one server (echo) and one client with cfg over a
 // network with the given params.
-func benchSystem(b *testing.B, cfg mrpc.Config, servers int, p mrpc.NetParams) (*mrpc.System, *mrpc.Node, mrpc.Group, mrpc.OpID) {
+func benchSystem(b testing.TB, cfg mrpc.Config, servers int, p mrpc.NetParams) (*mrpc.System, *mrpc.Node, mrpc.Group, mrpc.OpID) {
 	b.Helper()
 	sys := mrpc.NewSystem(mrpc.SystemOptions{Net: p})
 	b.Cleanup(sys.Stop)

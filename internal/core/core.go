@@ -44,7 +44,7 @@ const (
 // implement the ordering discussed in DESIGN.md §4 (including deviations
 // D2, D3 and D20 relative to the paper's numbers).
 const (
-	PrioAssignOrder    = 5   // Total Order: leader assigns sequence numbers
+	PrioAssignOrder    = 5   // Total Order: leader re-announces a known number (a lost-ORDER nudge)
 	PrioFloor          = 7   // Unique Execution: drop settled calls below the client's floor (D20)
 	PrioReliable       = 10  // Reliable Communication: ack bookkeeping (first, as in the paper)
 	PrioOrphan         = 15  // Interference Avoidance / Terminate Orphan
@@ -294,11 +294,6 @@ type Framework struct {
 	// that passed the gate but have not yet created their call record.
 	admit sync.RWMutex
 
-	// executedQuery, installed by Unique Execution, reports whether a call
-	// key has already been executed here; a freshly attached ordering
-	// protocol consults it to avoid sequencing duplicates of pre-swap calls.
-	executedQuery func(msg.CallKey) bool
-
 	// Causal Order state (extension; see causal.go). vc is the CBCAST
 	// vector: this process's own entry counts calls it has issued, other
 	// entries count calls delivered (executed) from those clients.
@@ -470,24 +465,6 @@ func (fw *Framework) EnableSerial() {
 func (fw *Framework) DisableSerial() {
 	fw.mustConfigure("DisableSerial")
 	fw.serialMode = false
-}
-
-// SetExecutedQuery installs (or with nil, removes) Unique Execution's
-// executed-call predicate; see Framework.AlreadyExecuted. Configuration
-// mutator (before Start or under the swap barrier).
-func (fw *Framework) SetExecutedQuery(q func(msg.CallKey) bool) {
-	fw.mustConfigure("SetExecutedQuery")
-	fw.executedQuery = q
-}
-
-// AlreadyExecuted reports whether the call identified by key has already
-// executed at this server, according to Unique Execution's dedup tables
-// (false when Unique Execution is not configured). A freshly attached
-// ordering protocol uses it to recognize duplicates of calls that executed
-// before the protocol attached: sequencing such a duplicate would reserve a
-// slot no reply will ever release.
-func (fw *Framework) AlreadyExecuted(key msg.CallKey) bool {
-	return fw.executedQuery != nil && fw.executedQuery(key)
 }
 
 // --- Causal Order support (extension; see causal.go) ---------------------

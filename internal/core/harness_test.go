@@ -22,6 +22,7 @@ type memNet struct {
 	handlers map[msg.ProcID]func(*msg.NetMsg)
 	hook     func(to msg.ProcID, m *msg.NetMsg) bool // true = drop
 	sent     []sentRec
+	unlogged bool // sends are delivered but not logged
 	async    bool
 	wg       sync.WaitGroup
 }
@@ -38,6 +39,16 @@ func newMemNet() *memNet {
 func (n *memNet) setHook(h func(to msg.ProcID, m *msg.NetMsg) bool) {
 	n.mu.Lock()
 	n.hook = h
+	n.mu.Unlock()
+}
+
+// setLogging turns the send log on or off; turning it on empties it.
+func (n *memNet) setLogging(on bool) {
+	n.mu.Lock()
+	n.unlogged = !on
+	if on {
+		n.sent = nil
+	}
 	n.mu.Unlock()
 }
 
@@ -65,7 +76,9 @@ func (n *memNet) countSent(typ msg.NetOp, to msg.ProcID) int {
 func (n *memNet) deliver(from, to msg.ProcID, m *msg.NetMsg) {
 	c := m.Clone()
 	n.mu.Lock()
-	n.sent = append(n.sent, sentRec{From: from, To: to, M: c})
+	if !n.unlogged {
+		n.sent = append(n.sent, sentRec{From: from, To: to, M: c})
+	}
 	hook := n.hook
 	h := n.handlers[to]
 	async := n.async

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
+	"slices"
 	"sync"
 	"time"
 
 	"mrpc/internal/event"
 	"mrpc/internal/member"
 	"mrpc/internal/msg"
-	"mrpc/internal/stub"
 )
 
 // TotalOrder guarantees that the calls of all clients are processed in the
@@ -30,12 +32,20 @@ import (
 // AgreementDelay while the query round completes. This is crash-stop
 // agreement over fair-lossy links (the query round itself is retried by
 // the nudge timer), not partition-tolerant consensus; see DESIGN.md D4.
+//
+// A member keeps its order table as a window from a group-stable entry S
+// up: each follower reports its next entry to the leader on the nudge tick,
+// the leader takes S as the lowest position of every member (its own
+// included) and stamps it on every ORDER, and every member drops the
+// assignments below min(S, its own next entry). ORDER_INFO ships that base
+// plus the window, so its size does not grow with the group's history.
 type TotalOrder struct {
 	// NudgeInterval is how often a follower re-forwards calls that are
-	// still waiting for a sequence number to the current leader (default
-	// 20ms). The paper relies on client retransmissions to trigger this
-	// forwarding; with receipt-acknowledged reliable communication (D11)
-	// those stop, so order-message loss is recovered by the group itself.
+	// still waiting for a sequence number to the current leader, and
+	// reports its position when it has moved (default 20ms). The paper
+	// relies on client retransmissions to trigger this forwarding; with
+	// receipt-acknowledged reliable communication (D11) those stop, so
+	// order-message loss is recovered by the group itself.
 	NudgeInterval time.Duration
 	// AgreementDelay is how long a new leader collects ORDER_INFO replies
 	// before assigning fresh sequence numbers (default 3x NudgeInterval).
@@ -50,15 +60,35 @@ var _ Stateful = (*TotalOrder)(nil)
 var _ Sequencer = (*TotalOrder)(nil)
 
 type totalState struct {
-	mu        sync.Mutex
-	oldOrders map[msg.CallKey]int64       // assigned sequence numbers seen
+	mu sync.Mutex
+	// entries is the order table indexed by entry number: the assignments
+	// from the base up and, per entry, whether its call is held here until
+	// the entry comes up. Every member has executed every entry below the
+	// base, so no nudge can ask for one of those again (D4).
+	entries   seqWindow[int64, orderSlot]
+	index     map[msg.CallKey]int64       // entry of each call assigned at or above the base
 	waiting   map[msg.CallKey]*msg.NetMsg // full call, for re-forwarding
-	ready     map[int64]msg.CallKey
-	nextOrder int64       // leader: next number to assign
-	nextEntry int64       // all: next number allowed to execute
-	groups    []msg.Group // groups observed, for leader takeover; append-only
-	syncing   bool        // new leader collecting ORDER_INFO; defer assignments
+	nextOrder int64                       // leader: next number to assign
+	nextEntry int64                       // all: next number allowed to execute
+	stable    int64                       // S: every member has executed every entry below it
+	reports   map[msg.ProcID]int64        // each member's last reported nextEntry
+	reported  int64                       // nextEntry at this member's last report
+	groups    []msg.Group                 // groups observed, for leader takeover; append-only
+	syncing   bool                        // new leader collecting ORDER_INFO; defer assignments
 }
+
+// orderSlot is one entry of the order table.
+type orderSlot struct {
+	key      msg.CallKey // the call assigned this entry
+	assigned bool
+	held     bool // the call is here, waiting for its entry to come up
+}
+
+// maxOrderAhead caps how far above its own next entry a member takes an
+// assignment from the network. A forged or corrupt ORDER cannot grow the
+// order table past it; a genuine one that far ahead is dropped, and the
+// follower's nudge asks for it again once it has caught up.
+const maxOrderAhead = 1 << 18
 
 // observeLocked records g as an observed group. Groups are few, so a scan
 // with Equal beats hashing a formatted key, and only a group's first
@@ -73,33 +103,160 @@ func (st *totalState) observeLocked(g msg.Group) {
 	st.groups = append(st.groups, g.Clone())
 }
 
-// encodeOrders serializes a (key -> order) table for ORDER_INFO.
-func encodeOrders(orders map[msg.CallKey]int64) []byte {
-	w := stub.NewWriter(16 * len(orders))
-	w.PutUint32(uint32(len(orders)))
-	for k, ord := range orders {
-		w.PutUint32(uint32(k.Client))
-		w.PutInt64(int64(k.ID))
-		w.PutInt64(ord)
+// waitingLocked returns the calls waiting for a number in key order, so a
+// seeded run re-forwards and numbers them in one order. Caller holds st.mu.
+func (st *totalState) waitingLocked() []*msg.NetMsg {
+	if len(st.waiting) == 0 {
+		return nil
 	}
-	return w.Bytes()
+	out := make([]*msg.NetMsg, 0, len(st.waiting))
+	for _, m := range st.waiting {
+		out = append(out, m)
+	}
+	slices.SortFunc(out, func(a, b *msg.NetMsg) int {
+		return cmp.Or(cmp.Compare(a.Client, b.Client), cmp.Compare(a.ID, b.ID))
+	})
+	return out
 }
 
-// decodeOrders parses an ORDER_INFO payload.
-func decodeOrders(data []byte) map[msg.CallKey]int64 {
-	r := stub.NewReader(data)
-	n := int(r.Uint32())
-	out := make(map[msg.CallKey]int64, n)
-	for i := 0; i < n; i++ {
-		client := msg.ProcID(r.Uint32())
-		id := msg.CallID(r.Int64())
-		ord := r.Int64()
-		if r.Err() != nil {
-			return out
-		}
-		out[msg.CallKey{Client: client, ID: id}] = ord
+// numberLocked gives key, which has no assignment, the next sequence
+// number. Caller holds st.mu.
+func (st *totalState) numberLocked(key msg.CallKey) int64 {
+	ord := max(st.nextOrder, st.entries.base)
+	st.nextOrder = ord + 1
+	*st.entries.slot(ord) = orderSlot{key: key, assigned: true}
+	st.index[key] = ord
+	return ord
+}
+
+// recordLocked stores key's assignment to entry ord, unless the entry lies
+// below the base or implausibly far ahead, or already names a call. key
+// has no assignment yet. Caller holds st.mu.
+func (st *totalState) recordLocked(key msg.CallKey, ord int64) bool {
+	if ord < st.entries.base || ord-st.nextEntry >= maxOrderAhead {
+		return false
 	}
-	return out
+	s := st.entries.slot(ord)
+	if s.assigned {
+		return false
+	}
+	*s = orderSlot{key: key, assigned: true}
+	st.index[key] = ord
+	if st.nextOrder <= ord {
+		st.nextOrder = ord + 1
+	}
+	return true
+}
+
+// holdLocked decides the fate of a call whose copy is here and whose
+// assignment to entry ord is recorded: it is past, runs now, or is held in
+// its entry. Caller holds st.mu.
+func (st *totalState) holdLocked(ord int64) (past, now bool) {
+	switch {
+	case ord < st.nextEntry:
+		return true, false
+	case ord == st.nextEntry:
+		return false, true
+	}
+	st.entries.peek(ord).held = true
+	return false, false
+}
+
+// pruneStep is how many assignments below min(S, nextEntry) a member drops
+// per call it executes. Pruning follows execution, and more than one entry
+// per call lets the window catch up with S, without holding the lock for a
+// whole report interval's worth of entries at once.
+const pruneStep = 2
+
+// pruneLocked drops up to pruneStep assignments below min(S, nextEntry),
+// with their index entries. Caller holds st.mu.
+func (st *totalState) pruneLocked() {
+	floor := min(st.stable, st.nextEntry)
+	for i := 0; i < pruneStep && st.entries.base < floor; i++ {
+		if s := st.entries.peek(st.entries.base); s != nil && s.assigned {
+			delete(st.index, s.key)
+		}
+		st.entries.advance(st.entries.base + 1)
+	}
+}
+
+// reportLocked records member p's position and, from it, S: the lowest of
+// this member's nextEntry and the last position reported by every other
+// member of every observed group. A member that never reported, or that
+// the detector calls down, holds S where its last report left it. Caller
+// holds st.mu.
+func (st *totalState) reportLocked(self, p msg.ProcID, pos int64) {
+	if pos <= st.reports[p] {
+		return
+	}
+	st.reports[p] = pos
+	s := st.nextEntry
+	for _, g := range st.groups {
+		for _, q := range g {
+			if q != self {
+				s = min(s, st.reports[q])
+			}
+		}
+	}
+	st.stable = max(st.stable, s)
+}
+
+// orderInfoHeader and orderInfoEntry are the sizes of ORDER_INFO's fixed
+// part (the base, then the entry count) and of one assignment in it.
+const (
+	orderInfoHeader = 8 + 4
+	orderInfoEntry  = 4 + 8 + 8
+)
+
+// orderAssign is one assignment carried by ORDER_INFO.
+type orderAssign struct {
+	key msg.CallKey
+	ord int64
+}
+
+// encodeOrdersLocked serializes the order table for ORDER_INFO: the base,
+// then every assignment at or above it in entry order. Caller holds st.mu.
+func (st *totalState) encodeOrdersLocked() []byte {
+	w := &st.entries
+	buf := make([]byte, orderInfoHeader, orderInfoHeader+orderInfoEntry*len(st.index))
+	binary.BigEndian.PutUint64(buf, uint64(w.base))
+	n := uint32(0)
+	for e := w.base; e < w.base+int64(len(w.ring)); e++ {
+		if s := w.peek(e); s.assigned {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(s.key.Client))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(s.key.ID))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(e))
+			n++
+		}
+	}
+	binary.BigEndian.PutUint32(buf[8:], n)
+	return buf
+}
+
+// decodeOrders parses an ORDER_INFO payload. A payload whose entry count
+// does not match its length is rejected before anything is sized by it.
+func decodeOrders(data []byte) (base int64, orders []orderAssign, ok bool) {
+	if len(data) < orderInfoHeader {
+		return 0, nil, false
+	}
+	base = int64(binary.BigEndian.Uint64(data))
+	n := binary.BigEndian.Uint32(data[8:])
+	data = data[orderInfoHeader:]
+	if uint64(len(data)) != uint64(n)*orderInfoEntry {
+		return 0, nil, false
+	}
+	orders = make([]orderAssign, n)
+	for i := range orders {
+		orders[i] = orderAssign{
+			key: msg.CallKey{
+				Client: msg.ProcID(binary.BigEndian.Uint32(data)),
+				ID:     msg.CallID(binary.BigEndian.Uint64(data[4:])),
+			},
+			ord: int64(binary.BigEndian.Uint64(data[12:])),
+		}
+		data = data[orderInfoEntry:]
+	}
+	return base, orders, true
 }
 
 // leader computes the group leader, treating members the membership
@@ -147,23 +304,28 @@ func (to *TotalOrder) ImportState(state any) { to.st = state.(*totalState) }
 func (to *TotalOrder) assign(fw *Framework, key msg.CallKey, group msg.Group) {
 	st := to.st
 	st.mu.Lock()
-	ord, ok := st.oldOrders[key]
+	ord, ok := st.index[key]
 	if !ok {
-		ord = st.nextOrder
-		st.oldOrders[key] = ord
-		st.nextOrder++
+		ord = st.numberLocked(key)
 	}
+	stable := st.stable
 	st.mu.Unlock()
-	to.announce(fw, key, group, ord)
+	to.announce(fw, key, group, ord, stable)
 }
 
 // announce makes an assignment known to the group: the ORDER goes to the
-// other members along the configured dissemination (a tree keeps the
-// leader's egress at its fanout), and this member applies it in place
-// rather than receiving its own ORDER back through the network (D4). The
-// send comes first so the followers are not kept waiting while a released
-// call executes here.
-func (to *TotalOrder) announce(fw *Framework, key msg.CallKey, group msg.Group, ord int64) {
+// other members, and this member applies it in place rather than receiving
+// its own ORDER back through the network (D4). The send comes first so the
+// followers are not kept waiting while a released call executes here.
+func (to *TotalOrder) announce(fw *Framework, key msg.CallKey, group msg.Group, ord, stable int64) {
+	to.sendOrder(fw, key, group, ord, stable)
+	to.applyOrder(fw, key, ord, 0)
+}
+
+// sendOrder sends an assignment to the other members along the configured
+// dissemination (a tree keeps the leader's egress at its fanout). The
+// ORDER carries the group-stable entry S, below which the followers prune.
+func (to *TotalOrder) sendOrder(fw *Framework, key msg.CallKey, group msg.Group, ord, stable int64) {
 	fw.MulticastOthers(group, &msg.NetMsg{
 		Type:   msg.OpOrder,
 		ID:     key.ID,
@@ -171,37 +333,40 @@ func (to *TotalOrder) announce(fw *Framework, key msg.CallKey, group msg.Group, 
 		Server: group,
 		Sender: fw.Self(),
 		Inc:    fw.Inc(),
+		AckID:  msg.CallID(stable),
 		Order:  ord,
 	})
-	to.applyOrder(fw, key, ord)
 }
 
 // applyOrder records an assignment and releases/drops a held call
-// accordingly (the body of the paper's ORDER handling).
-func (to *TotalOrder) applyOrder(fw *Framework, key msg.CallKey, order int64) {
+// accordingly (the body of the paper's ORDER handling); stable is the S the
+// ORDER carried. An assignment below the base is not recorded again.
+func (to *TotalOrder) applyOrder(fw *Framework, key msg.CallKey, order, stable int64) {
 	st := to.st
 	st.mu.Lock()
-	if st.nextOrder < order+1 {
-		st.nextOrder = order + 1
-	}
-	if _, ok := st.oldOrders[key]; !ok {
-		st.oldOrders[key] = order
+	st.stable = max(st.stable, stable)
+	ord, ok := st.index[key]
+	if !ok {
+		ord = order
+		if !st.recordLocked(key, ord) && ord >= st.nextEntry {
+			// Too far ahead, or the entry names another call: a held
+			// copy stays waiting, and the nudge asks again.
+			st.mu.Unlock()
+			return
+		}
 	}
 	if _, held := st.waiting[key]; !held {
 		st.mu.Unlock()
 		return
 	}
 	delete(st.waiting, key)
+	past, now := st.holdLocked(ord)
+	st.mu.Unlock()
 	switch {
-	case order == st.nextEntry:
-		st.mu.Unlock()
-		fw.ForwardUp(key, HoldTotal)
-	case order < st.nextEntry:
-		st.mu.Unlock()
+	case past:
 		fw.DropServerCall(key)
-	default:
-		st.ready[order] = key
-		st.mu.Unlock()
+	case now:
+		fw.ForwardUp(key, HoldTotal)
 	}
 }
 
@@ -222,22 +387,19 @@ func (to *TotalOrder) Adopt(key msg.CallKey, m *msg.NetMsg) {
 	}
 
 	st.mu.Lock()
-	ord, ok := st.oldOrders[key]
+	ord, ok := st.index[key]
 	if !ok {
 		st.waiting[key] = m
 		st.mu.Unlock()
 		return
 	}
+	past, now := st.holdLocked(ord)
+	st.mu.Unlock()
 	switch {
-	case ord < st.nextEntry:
-		st.mu.Unlock()
+	case past:
 		fw.DropServerCall(key)
-	case ord == st.nextEntry:
-		st.mu.Unlock()
+	case now:
 		fw.ForwardUp(key, HoldTotal)
-	default:
-		st.ready[ord] = key
-		st.mu.Unlock()
 	}
 }
 
@@ -250,12 +412,14 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 	b := NewBinding(fw)
 	to.b = b
 	to.st = &totalState{
-		oldOrders: make(map[msg.CallKey]int64),
+		index:     make(map[msg.CallKey]int64),
 		waiting:   make(map[msg.CallKey]*msg.NetMsg),
-		ready:     make(map[int64]msg.CallKey),
+		reports:   make(map[msg.ProcID]int64),
 		nextOrder: 1,
 		nextEntry: 1,
+		stable:    1,
 	}
+	to.st.entries.base = 1
 
 	// One long-lived cancellation compensation for a call held waiting for
 	// its number: it reads the key from the occurrence instead of a
@@ -268,9 +432,11 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 		st.mu.Unlock()
 	}
 
-	// The leader assigns sequence numbers as soon as a Call arrives
-	// (before any other processing); followers holding an unordered call
-	// nudge the leader when the client retransmits.
+	// A CALL for a call the leader has numbered is re-announced as soon as
+	// it arrives (before any other processing): a follower that lost the
+	// ORDER nudges the leader with the client's original call, which Unique
+	// Execution may drop next as settled. Followers holding an unordered
+	// call forward the client's retransmissions to the leader.
 	b.On(event.MsgFromNetwork, "TotalOrder.assignOrder", PrioAssignOrder,
 		func(o *event.Occurrence) {
 			m := o.Arg.(*NetEvent).Msg
@@ -278,34 +444,22 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 				return
 			}
 			key := m.Key()
+			leader := fw.totalLeader(m.Server)
 			st := to.st
 			st.mu.Lock()
 			st.observeLocked(m.Server)
-			_, known := st.oldOrders[key]
+			ord, known := st.index[key]
 			_, isWaiting := st.waiting[key]
-			syncing := st.syncing
+			syncing, stable := st.syncing, st.stable
 			st.mu.Unlock()
 
-			// A duplicate of a call that executed before this instance
-			// attached (a pre-reconfiguration call) must not be sequenced:
-			// no reply will ever advance past its slot, which would stall
-			// the whole entry sequence. Known or waiting keys pass — those
-			// are live calls (re-announcing a known order is the lost-ORDER
-			// recovery path; Unique marks held calls as seen long before
-			// they execute, so "seen" alone doesn't mean executed).
-			if !known && !isWaiting && fw.AlreadyExecuted(key) {
-				return
-			}
-
-			if fw.totalLeader(m.Server) == fw.Self() {
-				if !syncing {
-					to.assign(fw, key, m.Server)
+			switch {
+			case leader == fw.Self():
+				if known && !syncing {
+					to.announce(fw, key, m.Server, ord, stable)
 				}
-				// While syncing, assignment is deferred; the follower
-				// nudge timers re-deliver the call once the agreement
-				// round is over.
-			} else if isWaiting {
-				fw.Net().Push(fw.totalLeader(m.Server), m)
+			case isWaiting:
+				fw.Net().Push(leader, m)
 			}
 			// Unlike the paper, duplicates of already-executed calls are
 			// NOT cancelled here: doing so (before Unique Execution's
@@ -320,61 +474,88 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 			st := to.st
 			switch m.Type {
 			case msg.OpCall:
+				// The leader numbers a call here, once Unique Execution has
+				// admitted it, so a duplicate (of a call that executed
+				// before this instance attached, or of one whose assignment
+				// was pruned) is never numbered: no reply would ever
+				// release its entry. While a new leader collects ORDER_INFO
+				// the call waits for the agreement round.
 				key := m.Key()
+				leads := fw.totalLeader(m.Server) == fw.Self()
 				st.mu.Lock()
-				ord, ok := st.oldOrders[key]
+				ord, ok := st.index[key]
+				fresh := !ok && leads && !st.syncing
+				if fresh {
+					ord, ok = st.numberLocked(key), true
+				}
 				if !ok {
 					st.waiting[key] = m
 					st.mu.Unlock()
 					o.OnCancel(forgetWaiting)
 					return
 				}
+				stable := st.stable
+				past, now := st.holdLocked(ord)
+				st.mu.Unlock()
+				if fresh {
+					to.sendOrder(fw, key, m.Server, ord, stable)
+				}
 				switch {
-				case ord < st.nextEntry:
-					st.mu.Unlock()
+				case past:
 					o.Cancel()
-				case ord == st.nextEntry:
-					st.mu.Unlock()
+				case now:
 					fw.ForwardUp(key, HoldTotal)
-				default:
-					st.ready[ord] = key
-					st.mu.Unlock()
 				}
 
 			case msg.OpOrder:
-				to.applyOrder(fw, m.Key(), m.Order)
+				to.applyOrder(fw, m.Key(), m.Order, int64(m.AckID))
 
 			case msg.OpOrderQuery:
-				// A new leader is collecting assignments: report ours.
+				// A new leader is collecting assignments: report ours and
+				// our position.
 				st.mu.Lock()
-				payload := encodeOrders(st.oldOrders)
+				payload := st.encodeOrdersLocked()
+				pos := st.nextEntry
 				st.mu.Unlock()
 				fw.Net().Push(m.Sender, &msg.NetMsg{
 					Type:   msg.OpOrderInfo,
 					Server: m.Server,
 					Sender: fw.Self(),
 					Inc:    fw.Inc(),
+					Order:  pos,
 					Args:   payload,
 				})
 
 			case msg.OpOrderInfo:
-				// Merge a member's assignments; re-announce anything we
-				// learned so every member converges on the merged table.
-				learned := decodeOrders(m.Args)
-				st.mu.Lock()
-				for k, ord := range learned {
-					if st.nextOrder < ord+1 {
-						st.nextOrder = ord + 1
+				// A member's position, and with a query's answer its order
+				// table: adopt the higher base, merge the assignments, and
+				// re-announce what we learned, in entry order, so every
+				// member converges on the merged table.
+				var (
+					base    int64
+					learned []orderAssign
+					ok      bool
+				)
+				if len(m.Args) > 0 {
+					if base, learned, ok = decodeOrders(m.Args); !ok {
+						return
 					}
-					if _, ok := st.oldOrders[k]; ok {
-						delete(learned, k)
-						continue
-					}
-					st.oldOrders[k] = ord
 				}
+				st.mu.Lock()
+				st.observeLocked(m.Server)
+				st.reportLocked(fw.Self(), m.Sender, m.Order)
+				st.stable = max(st.stable, base)
+				st.nextOrder = max(st.nextOrder, base)
+				fresh := learned[:0]
+				for _, a := range learned {
+					if _, known := st.index[a.key]; !known && st.recordLocked(a.key, a.ord) {
+						fresh = append(fresh, a)
+					}
+				}
+				stable := st.stable
 				st.mu.Unlock()
-				for k, ord := range learned {
-					to.announce(fw, k, m.Server, ord)
+				for _, a := range fresh {
+					to.announce(fw, a.key, m.Server, a.ord, stable)
 				}
 			}
 		})
@@ -384,33 +565,53 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 			st := to.st
 			st.mu.Lock()
 			st.nextEntry++
-			key, ok := st.ready[st.nextEntry]
-			if ok {
-				delete(st.ready, st.nextEntry)
+			st.pruneLocked()
+			s := st.entries.peek(st.nextEntry)
+			held := s != nil && s.held
+			var key msg.CallKey
+			if held {
+				s.held = false
+				key = s.key
 			}
 			st.mu.Unlock()
-			if ok {
+			if held {
 				fw.ForwardUp(key, HoldTotal)
 			}
 		})
 
 	// A follower holding unordered calls periodically re-forwards them to
 	// the current leader, recovering lost ORDER messages (and lost
-	// leader-bound calls) without relying on client retransmission. The
-	// re-arm goes through the binding, so the chain ends at Detach.
+	// leader-bound calls) without relying on client retransmission. On the
+	// same tick it reports its position to the leader when it has moved
+	// since its last report, so the leader can compute S. The re-arm goes
+	// through the binding, so the chain ends at Detach.
 	var nudge event.Handler
 	nudge = func(*event.Occurrence) {
 		st := to.st
 		st.mu.Lock()
-		var resend []*msg.NetMsg
-		for _, m := range st.waiting {
-			resend = append(resend, m)
+		resend := st.waitingLocked()
+		var groups []msg.Group
+		pos := st.nextEntry
+		if pos > st.reported {
+			st.reported = pos
+			groups = st.groups
 		}
 		st.mu.Unlock()
 		for _, m := range resend {
 			leader := fw.totalLeader(m.Server)
 			if leader != 0 && leader != fw.Self() {
 				fw.Net().Push(leader, m)
+			}
+		}
+		for _, g := range groups {
+			if leader := fw.totalLeader(g); leader != 0 && leader != fw.Self() {
+				fw.Net().Push(leader, &msg.NetMsg{
+					Type:   msg.OpOrderInfo,
+					Server: g,
+					Sender: fw.Self(),
+					Inc:    fw.Inc(),
+					Order:  pos,
+				})
 			}
 		}
 		b.After("TotalOrder.nudge", nudgeInterval, nudge)
@@ -427,18 +628,12 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 			if c.Kind != member.Failure {
 				return
 			}
+			// nextOrder already lies above every assignment this member
+			// has recorded; the agreement round raises it above the
+			// survivors' as well.
 			st := to.st
 			st.mu.Lock()
 			groups := st.groups
-			maxAssigned := int64(0)
-			for _, ord := range st.oldOrders {
-				if ord > maxAssigned {
-					maxAssigned = ord
-				}
-			}
-			if st.nextOrder <= maxAssigned {
-				st.nextOrder = maxAssigned + 1
-			}
 			st.mu.Unlock()
 
 			var leading []msg.Group
@@ -470,19 +665,12 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 					st := to.st
 					st.mu.Lock()
 					st.syncing = false
-					type pend struct {
-						key msg.CallKey
-						grp msg.Group
-					}
-					var pending []pend
-					for k, m := range st.waiting {
-						pending = append(pending, pend{key: k, grp: m.Server})
-					}
+					pending := st.waitingLocked()
 					st.mu.Unlock()
 					for _, g := range leading {
-						for _, p := range pending {
-							if p.grp.Equal(g) {
-								to.assign(fw, p.key, g)
+						for _, m := range pending {
+							if m.Server.Equal(g) {
+								to.assign(fw, m.Key(), g)
 							}
 						}
 					}

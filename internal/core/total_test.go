@@ -250,8 +250,14 @@ func replicaProtos(ordered bool) []MicroProtocol {
 // newBareNode starts a framework with protos attached on net.
 func newBareNode(tb testing.TB, id msg.ProcID, net Transport, server Server, protos []MicroProtocol) *Framework {
 	tb.Helper()
+	return newClockedNode(tb, id, clock.NewReal(), net, server, protos)
+}
+
+// newClockedNode is newBareNode with its timers on clk.
+func newClockedNode(tb testing.TB, id msg.ProcID, clk clock.Clock, net Transport, server Server, protos []MicroProtocol) *Framework {
+	tb.Helper()
 	fw, err := NewFramework(Options{
-		Site: proc.NewSite(id), Bus: event.New(clock.NewReal()), Net: net, Server: server,
+		Site: proc.NewSite(id), Bus: event.New(clk), Net: net, Server: server,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -25,8 +25,8 @@ import (
 // span of calls (see graceSpan): a copy of a call admitted here is a stale
 // duplicate and is dropped before Reliable Communication sees it, and so is
 // any copy older than the grace span; a late first copy within the span is
-// admitted as new. Total Order's executed-call guard (AlreadyExecuted)
-// reports the dropped ones, so they are never given a sequence number.
+// admitted as new. Total Order numbers a call only once it is admitted here,
+// so the dropped ones are never given a sequence number.
 type UniqueExecution struct {
 	b  *Binding
 	mu sync.Mutex
@@ -71,33 +71,11 @@ func (u *UniqueExecution) ImportState(state any) {
 	u.mu.Unlock()
 }
 
-// executed reports whether key has been admitted here, or is settled below
-// its client's floor.
-func (u *UniqueExecution) executed(key msg.CallKey) bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	w := u.windows[windowKey{client: key.Client, inc: callInc(key.ID)}]
-	if w == nil {
-		return false
-	}
-	seq := callSeq(key.ID)
-	if seq < w.base {
-		return w.settled(seq)
-	}
-	s := w.peek(seq)
-	return s != nil && s.admitted()
-}
-
 // Attach implements MicroProtocol.
 func (u *UniqueExecution) Attach(fw *Framework) error {
 	b := NewBinding(fw)
 	u.b = b
 	u.windows = make(clientWindows[uniqueSlot])
-
-	// Publish the executed-call predicate: a freshly attached ordering
-	// protocol must not sequence duplicates of calls that executed before
-	// it attached (see Framework.AlreadyExecuted).
-	fw.SetExecutedQuery(u.executed)
 
 	// Retain the response until the client's mark passes it (priority 1:
 	// before Atomic Execution's checkpoint on the same event).
@@ -143,12 +121,12 @@ func (u *UniqueExecution) Attach(fw *Framework) error {
 
 	// The cumulative ACK: raise the client's floor to the mark the call
 	// carries, forgetting everything below it, and drop the call itself if
-	// it is already below. This runs just after Total Order's assignment,
-	// not before it: a follower that lost an ORDER nudges the leader with
-	// the client's original call, which may be settled at the client by
-	// now, and the leader must still re-announce the number it assigned. A
-	// settled call the leader never numbered stays unnumbered, since
-	// AlreadyExecuted reports it.
+	// it is already below. This runs just after Total Order's
+	// re-announcement, not before it: a follower that lost an ORDER nudges
+	// the leader with the client's original call, which may be settled at
+	// the client by now, and the leader must still re-announce the number
+	// it assigned. A settled call the leader never numbered stays
+	// unnumbered, since Total Order numbers only calls admitted here.
 	b.On(event.MsgFromNetwork, "UniqueExec.floor", PrioFloor,
 		func(o *event.Occurrence) {
 			m := o.Arg.(*NetEvent).Msg
@@ -222,7 +200,6 @@ func (u *UniqueExecution) Attach(fw *Framework) error {
 }
 
 // Detach implements MicroProtocol.
-func (u *UniqueExecution) Detach(fw *Framework) {
+func (u *UniqueExecution) Detach(*Framework) {
 	u.b.Detach()
-	fw.SetExecutedQuery(nil)
 }

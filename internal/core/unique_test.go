@@ -171,9 +171,6 @@ func TestUniqueExecutionAdmitsLateFirstCopyBelowFloor(t *testing.T) {
 	if len(got) != 2 || got[0] != "two" || got[1] != "one" {
 		t.Fatalf("executed %v, want [two one]", got)
 	}
-	if !n.fw.AlreadyExecuted(msg.CallKey{Client: 100, ID: id1}) {
-		t.Fatal("the late copy is not reported executed")
-	}
 }
 
 func TestUniqueExecutionNewIncarnationHasItsOwnFloor(t *testing.T) {
@@ -237,9 +234,6 @@ func TestUniqueExecutionWindowsSurviveSwap(t *testing.T) {
 	n.fw.HandleNet(markedCall(id(4), id(4), group, "four"))
 	if got := srv.executed(); len(got) != 4 {
 		t.Fatalf("executed %v, want each of the four calls once", got)
-	}
-	if !n.fw.AlreadyExecuted(msg.CallKey{Client: 100, ID: id(2)}) {
-		t.Fatal("a call below the imported floor is not reported executed")
 	}
 }
 

@@ -23,20 +23,24 @@ import (
 func callSeq(id msg.CallID) uint32          { return uint32(id) }
 func callInc(id msg.CallID) msg.Incarnation { return msg.Incarnation(int64(id) >> 32) }
 
-// seqWindow is a sliding window over one incarnation's sequence numbers: it
-// holds a T for every sequence number from base up to base+len(ring) and
-// nothing below base. The ring doubles when a slot beyond its reach is
-// asked for and is reused as base slides, so a window whose span stays
-// bounded allocates nothing once it has grown to fit.
-type seqWindow[T any] struct {
-	base uint32 // lowest sequence number held
-	head int    // ring index of base
-	ring []T    // length zero or a power of two
+// seqIndex is what a seqWindow is indexed by: one incarnation's call
+// sequence numbers (uint32) or Total Order's entry numbers (int64).
+type seqIndex interface{ ~uint32 | ~int64 }
+
+// seqWindow is a sliding window over a sequence: it holds a T for every
+// sequence number from base up to base+len(ring) and nothing below base. The
+// ring doubles when a slot beyond its reach is asked for and is reused as
+// base slides, so a window whose span stays bounded allocates nothing once
+// it has grown to fit.
+type seqWindow[I seqIndex, T any] struct {
+	base I   // lowest sequence number held
+	head int // ring index of base
+	ring []T // length zero or a power of two
 }
 
 // slot returns the slot for seq, growing the ring to reach it, or nil when
 // seq lies below the window.
-func (w *seqWindow[T]) slot(seq uint32) *T {
+func (w *seqWindow[I, T]) slot(seq I) *T {
 	if seq < w.base {
 		return nil
 	}
@@ -48,14 +52,14 @@ func (w *seqWindow[T]) slot(seq uint32) *T {
 }
 
 // peek returns the slot for seq if the ring already reaches it, else nil.
-func (w *seqWindow[T]) peek(seq uint32) *T {
+func (w *seqWindow[I, T]) peek(seq I) *T {
 	if seq < w.base || int(seq-w.base) >= len(w.ring) {
 		return nil
 	}
 	return &w.ring[(w.head+int(seq-w.base))&(len(w.ring)-1)]
 }
 
-func (w *seqWindow[T]) grow(n int) {
+func (w *seqWindow[I, T]) grow(n int) {
 	size := max(2*len(w.ring), 8)
 	for size < n {
 		size *= 2
@@ -68,7 +72,7 @@ func (w *seqWindow[T]) grow(n int) {
 
 // advance slides base up to floor, zeroing every slot it drops. A floor at
 // or below base is a no-op: a window never moves back.
-func (w *seqWindow[T]) advance(floor uint32) {
+func (w *seqWindow[I, T]) advance(floor I) {
 	if floor <= w.base {
 		return
 	}
@@ -108,7 +112,7 @@ const graceSpan = 4096
 // floorWindow is a server's window for one client incarnation: the calls at
 // or above the floor in full, and the graceSpan calls just below it as bits.
 type floorWindow[T windowSlot] struct {
-	seqWindow[T]
+	seqWindow[uint32, T]
 	past [graceSpan / 64]uint64 // bit s%graceSpan: call s was admitted
 }
 
@@ -222,7 +226,7 @@ type lowWater struct {
 	mu    sync.Mutex
 	next  uint32          // next sequence number to issue
 	inc   msg.Incarnation // incarnation of the last id issued
-	holds seqWindow[idHold]
+	holds seqWindow[uint32, idHold]
 	mark  atomic.Int64 // W, published for lock-free stamping
 }
 

@@ -262,7 +262,7 @@ func TestClientWindowSpanIsCapped(t *testing.T) {
 
 func TestSeqWindowMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	var w seqWindow[uint32]
+	var w seqWindow[uint32, uint32]
 	model := map[uint32]uint32{}
 	for step := 0; step < 20000; step++ {
 		if rng.Intn(4) == 0 {

@@ -131,7 +131,10 @@ const (
 	// OpOrderQuery and OpOrderInfo implement the leader-change agreement
 	// phase the paper omits from Total Order (§4.4.6): a new leader asks
 	// the surviving members for the assignments they know, and they reply
-	// with their order tables serialized in Args.
+	// with their order tables (a base and the window above it) serialized
+	// in Args. An OpOrderInfo with empty Args is a follower's unsolicited
+	// position report to the leader; either kind carries the sender's
+	// position in Order.
 	OpOrderQuery
 	OpOrderInfo
 
@@ -179,8 +182,8 @@ type NetMsg struct {
 	Server Group       // identity of the server group
 	Sender ProcID      // sender of this message
 	Inc    Incarnation // sender's incarnation number (clients)
-	AckID  CallID      // CALL_ACK/RELAY_ACK: the call acknowledged; CALL: the sender's low-water mark — it has settled every lower id of the mark's incarnation (D20)
-	Order  int64       // total order sequence number (ORDER)
+	AckID  CallID      // CALL_ACK/RELAY_ACK: the call acknowledged; CALL: the sender's low-water mark — it has settled every lower id of the mark's incarnation (D20); ORDER: the group-stable entry S — every member has executed every lower sequence number (D4)
+	Order  int64       // total order sequence number (ORDER); the sender's next entry to execute (ORDER_INFO)
 	VC     VClock      // causal timestamp (Causal Order extension)
 	Relay  uint8       // dissemination-tree fanout k; 0 = flat (D17)
 
